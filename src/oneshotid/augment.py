@@ -182,11 +182,6 @@ def apply_params(img, params, config):
     return out
 
 
-def augment_pipeline(img, config, seed=None):
-    """Draw parameters from the config and apply the full chain."""
-    return apply_params(img, draw_params(config, seed), config)
-
-
 def write_sidecar(path, mapping):
     """Record the drawn parameters as sorted key=value lines."""
     with open(path, "w", encoding="utf-8", newline="\n") as f:

@@ -34,8 +34,7 @@ class RoutingState:
     array snapshot per iteration so tests can watch agreement evolve.
     """
 
-    def __init__(self, logits, couplings, iterations, coupling_history):
-        self.logits = logits
+    def __init__(self, couplings, iterations, coupling_history):
         self.couplings = couplings
         self.iterations = iterations
         self.coupling_history = coupling_history
@@ -69,7 +68,7 @@ def dynamic_route(u_hat, iterations=3):
             vx = T.reshape(v, v.shape[:-2] + (1,) + v.shape[-2:])
             agreement = T.tsum(T.mul(u_hat, vx), axis=-1)
             b = T.add(b, agreement)
-    return v, RoutingState(b, c, iterations, history)
+    return v, RoutingState(c, iterations, history)
 
 
 def capsule_predict(u, w):

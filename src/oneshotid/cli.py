@@ -22,8 +22,7 @@ from .pairing import PairSample, read_pair_manifest
 from .recipes import (read_augment_config, read_recipe, run_experiment,
                       run_merge_comparison)
 from .rng import derive_seed
-from .tensor import Tensor
-from .trainer import DistancePairModel, MergedPairModel, _chw, choose_threshold
+from .trainer import DistancePairModel, MergedPairModel, choose_threshold, score_pairs
 
 
 def build_parser():
@@ -40,8 +39,6 @@ def build_parser():
                         help="dataset directory (fallback: ONESHOT_DATA_DIR)")
         sp.add_argument("--seed", type=int, default=None,
                         help="override the recipe seed")
-        sp.add_argument("--jobs", type=int, default=1,
-                        help="worker bound (runs are sequential; recorded in the manifest)")
 
     sp = sub.add_parser("train", help="run a recipe end to end")
     sp.add_argument("--recipe", required=True)
@@ -95,8 +92,7 @@ def _load_recipe(args, force_kfold=False):
 def cmd_train(args, force_kfold=False):
     recipe = _load_recipe(args, force_kfold=force_kfold)
     command = "crossval" if force_kfold else "train"
-    result = run_experiment(recipe, args.data_dir, args.out,
-                            jobs=args.jobs, command=command)
+    result = run_experiment(recipe, args.data_dir, args.out, command=command)
     summary = result["summary"]
     if "std" in summary:
         print(f"folds={len(result['reports'])} "
@@ -144,47 +140,31 @@ def _load_wrapped_model(path):
     return DistancePairModel(inner, margin=extra.get("margin", 1.0)), extra
 
 
-def _pair_scores(model, samples):
-    """Higher score = more confident the two views show the same object."""
-    ps = model.params()
-    dtype = ps[0].data.dtype if ps else np.float64
-    scores = np.empty(len(samples))
-    labels = np.array([s.y for _, _, s in samples])
-    for i in range(0, len(samples), 256):
-        chunk = [s for _, _, s in samples[i:i + 256]]
-        if model.kind == "merged":
-            x, _ = model.batch_inputs(chunk, dtype)
-            logits = model.stack(Tensor(x)).data
-            shifted = logits - logits.max(axis=1, keepdims=True)
-            probs = np.exp(shifted)
-            probs /= probs.sum(axis=1, keepdims=True)
-            scores[i:i + 256] = probs[:, 1]
-        else:
-            xa = np.stack([_chw(s.a) for s in chunk]).astype(dtype)
-            xb = np.stack([_chw(s.b) for s in chunk]).astype(dtype)
-            d = np.linalg.norm(model.embed(xa).data - model.embed(xb).data, axis=1)
-            scores[i:i + 256] = -d
-    return scores, labels
-
-
-def _predictions(model, extra, scores, labels):
-    if model.kind == "merged":
-        return (scores > 0.5).astype(int)
-    tau = extra.get("threshold")
-    if tau is None:
-        tau, _ = choose_threshold(-scores, labels)
-    return (-scores < tau).astype(int)
+def _same_probability(margin):
+    """Softmax p(same) of two logits, from the margin z_diff - z_same."""
+    e = np.exp(-np.abs(margin))
+    return np.where(margin <= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def cmd_eval(args):
     model, extra = _load_wrapped_model(args.checkpoint)
     samples = _load_manifest_pairs(args.pairs, args.data_dir)
-    scores, labels = _pair_scores(model, samples)
+    _, distances, labels = score_pairs(model, [s for _, _, s in samples])
+    # Higher score = more confident the two views show the same object.
+    if model.kind == "merged":
+        scores = _same_probability(distances)
+    else:
+        scores = -distances
 
     if args.identify:
         return _identify(samples, scores)
 
-    preds = _predictions(model, extra, scores, labels)
+    tau = model.threshold
+    if tau is None:
+        tau = extra.get("threshold")
+    if tau is None:
+        tau, _ = choose_threshold(distances, labels)
+    preds = (distances < tau).astype(int)
     for (pa, pb, _), score, pred, y in zip(samples, scores, preds, labels):
         print(f"{pa}\t{pb}\t{score:.6g}\t{pred}\t{y}")
     acc = float((preds == labels).mean())

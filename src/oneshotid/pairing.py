@@ -76,13 +76,12 @@ def merge(a, b, mode):
     return MergedImage(data, mode)
 
 
-def sample_pairs(dataset, n_pairs, balance=0.5, rng_seed=0, emit_swapped=False):
+def sample_pairs(dataset, n_pairs, balance=0.5, rng_seed=0):
     """Draw a balanced list of same/different pairs.
 
     Returns exactly ``n_pairs`` samples, round(balance * n_pairs) of them
     same-class; an image is never paired with itself.  Deterministic under
-    ``rng_seed``.  With ``emit_swapped`` each pair is followed by its
-    (b, a) mirror, doubling the list.
+    ``rng_seed``.
     """
     if not 0.0 <= balance <= 1.0:
         raise ConfigError(f"balance must be in [0,1], got {balance}")
@@ -105,8 +104,6 @@ def sample_pairs(dataset, n_pairs, balance=0.5, rng_seed=0, emit_swapped=False):
 
     def emit(ia, ib, y):
         out.append(PairSample(dataset.images[ia], dataset.images[ib], y, ia, ib))
-        if emit_swapped:
-            out.append(PairSample(dataset.images[ib], dataset.images[ia], y, ib, ia))
 
     for _ in range(n_same):
         cls = int(rng.choice(rich))

@@ -25,7 +25,8 @@ from .layers import build_merged_cnn, build_siamese_tower
 from .pairing import class_subset, holdout_split, merge, sample_pairs
 from .rng import derive_seed
 from .trainer import (DistancePairModel, MergedPairModel, TrainConfig,
-                      choose_threshold, crossvalidate, evaluate_pairs, train)
+                      choose_threshold, crossvalidate, evaluate_pairs, score_pairs,
+                      train)
 
 APPROACHES = ("merged", "siamese-cnn", "siamese-capsnet")
 DATASETS = ("smallnorb", "att-faces", "synthetic-anodes")
@@ -338,36 +339,25 @@ def _run_single(recipe, train_ds, eval_ds, config, out_dir=None, tag=""):
                              rng_seed=derive_seed(config.seed, "pairs", "val"))
     model = build_model(recipe, train_ds, config.seed)
     report = train(model, train_pairs, recipe.loss_kind, config, val_pairs=val_pairs)
+    tau = model.threshold
+    if tau is None:
+        _, d, y = score_pairs(model, train_pairs)
+        tau, _ = choose_threshold(d, y)
+    report.test_accuracy = evaluate_pairs(model, val_pairs, threshold_rule=tau)
 
-    extra = {"approach": recipe.approach}
     if recipe.approach == "merged":
-        extra["merge_mode"] = recipe.merge_mode
-        report.test_accuracy = evaluate_pairs(model, val_pairs)
+        extra = {"approach": recipe.approach, "merge_mode": recipe.merge_mode}
+        inner = model.stack
     else:
-        extra["margin"] = recipe.margin
-        report.test_accuracy = evaluate_pairs(model, val_pairs,
-                                              threshold_rule=train_pairs)
-        extra["threshold"] = _train_threshold(model, train_pairs)
+        extra = {"approach": recipe.approach, "margin": recipe.margin, "threshold": tau}
+        inner = model.tower
     if out_dir is not None:
         run_dir = os.path.join(out_dir, tag) if tag else out_dir
         os.makedirs(run_dir, exist_ok=True)
         report.write_csv(os.path.join(run_dir, "epochs.csv"))
         report.write_summary(os.path.join(run_dir, "summary.txt"))
-        inner = model.stack if recipe.approach == "merged" else model.tower
         checkpoint.save_model(os.path.join(run_dir, "model.ckpt"), inner, extra=extra)
     return report, model
-
-
-def _train_threshold(model, pairs):
-    ps = model.params()
-    dtype = ps[0].data.dtype if ps else np.float64
-    dists, labels = [], []
-    for i in range(0, len(pairs), 256):
-        _, stats = model.batch_stats(pairs[i:i + 256], dtype)
-        dists.append(stats["distances"])
-        labels.append(stats["labels"])
-    tau, _ = choose_threshold(np.concatenate(dists), np.concatenate(labels))
-    return float(tau)
 
 
 def make_fold_runner(recipe, out_dir=None):
@@ -392,17 +382,15 @@ def write_manifest(path, entries):
             f.write(f"{key}={value}\n")
 
 
-def run_experiment(recipe, data_dir, out_dir, jobs=1, command="train"):
+def run_experiment(recipe, data_dir, out_dir, command="train"):
     """Execute a recipe end to end; returns a result dict and writes run
     artifacts (reports, checkpoints, manifest) under out_dir."""
     from . import __version__
 
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     os.makedirs(out_dir, exist_ok=True)
     dataset = load_recipe_dataset(recipe, data_dir)
     entries = [("command", command), ("package_version", __version__),
-               ("jobs", jobs), ("dataset_sha256", dataset_hash(dataset))]
+               ("dataset_sha256", dataset_hash(dataset))]
     entries += recipe_items(recipe)
 
     if recipe.protocol == "kfold":

@@ -351,31 +351,6 @@ def sigmoid(x):
     return from_op("sigmoid", y, (x,), lambda g: (g * y * (1.0 - y),))
 
 
-_UNARY = {"relu": relu, "leaky_relu": leaky_relu, "square": square, "sqrt": sqrt}
-_BINARY = {"add": add, "sub": sub, "mul": mul}
-
-
-def elementwise(op, x, y=None, alpha=0.01):
-    """Apply a named elementwise op.
-
-    Binary ops require equal shapes or a scalar on either side; anything
-    else is a ShapeError.  ``alpha`` is the leak used by ``leaky_relu``.
-    """
-    x = _as_tensor(x)
-    if op in _UNARY:
-        if y is not None:
-            raise ShapeError(f"{op} is unary")
-        return _UNARY[op](x, alpha) if op == "leaky_relu" else _UNARY[op](x)
-    if op in _BINARY:
-        if y is None:
-            raise ShapeError(f"{op} needs two operands")
-        y = _as_tensor(y)
-        if x.shape != y.shape and x.size != 1 and y.size != 1:
-            raise ShapeError(f"{op}: shapes {x.shape} and {y.shape} are not equal or scalar")
-        return _BINARY[op](x, y)
-    raise ShapeError(f"unknown elementwise op {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # linear algebra / shape ops
 # ---------------------------------------------------------------------------

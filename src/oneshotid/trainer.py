@@ -5,7 +5,17 @@ Two model wrappers adapt the network zoo to a common batch interface:
 MergedPairModel feeds merged two-view images to a 2-logit classifier and
 trains with cross-entropy; DistancePairModel embeds each view through one
 shared tower and trains with the contrastive loss.  ``train`` only needs
-``params()`` and ``batch_stats()`` from either.
+``params()``, ``batch_stats()`` and ``threshold`` from either.
+
+Score contract: ``batch_stats(pairs, dtype)`` returns ``(loss, stats)``
+with ``stats = {"distances", "labels"}``, and a pair is called "same" iff
+its distance is below a threshold tau.  MergedPairModel's distance is the
+logit margin z_diff - z_same with the fixed ``threshold = 0.0``, which is
+the argmax decision.  DistancePairModel's distance is the euclidean
+distance of the two embeddings; its ``threshold`` is None and tau is
+chosen by ``choose_threshold``.  ``score_pairs`` is the one batched
+scoring pass, used by validation, ``evaluate_pairs``, the recipes and the
+``eval`` command alike.
 """
 
 import math
@@ -23,6 +33,9 @@ from .rng import derive_rng, derive_seed
 from .tensor import Tape, Tensor, backward
 
 _MONITORS = ("val_loss", "val_acc", "train_loss", "train_acc")
+
+# Pairs per forward pass when scoring without gradients.
+SCORE_CHUNK = 256
 
 
 @dataclass
@@ -183,6 +196,8 @@ class MergedPairModel:
 
     kind = "merged"
     loss_kind = "cross_entropy"
+    # margin < 0 iff the "same" logit wins the argmax
+    threshold = 0.0
 
     def __init__(self, stack, merge_mode="stacked"):
         self.stack = stack
@@ -191,18 +206,14 @@ class MergedPairModel:
     def params(self):
         return self.stack.params()
 
-    def batch_inputs(self, pairs, dtype):
+    def batch_stats(self, pairs, dtype):
         imgs = [_chw(merge(p.a, p.b, self.merge_mode).data) for p in pairs]
         x = np.stack(imgs).astype(dtype, copy=False)
         y = np.array([p.y for p in pairs], dtype=np.int64)
-        return x, y
-
-    def batch_stats(self, pairs, dtype):
-        x, y = self.batch_inputs(pairs, dtype)
         logits = self.stack(Tensor(x, requires_grad=False))
         loss = cross_entropy(logits, y)
-        correct = int((np.argmax(logits.data, axis=1) == y).sum())
-        return loss, {"correct": correct, "count": len(pairs)}
+        margin = logits.data[:, 0] - logits.data[:, 1]
+        return loss, {"distances": margin, "labels": y}
 
 
 class DistancePairModel:
@@ -214,6 +225,7 @@ class DistancePairModel:
 
     kind = "distance"
     loss_kind = "contrastive"
+    threshold = None
 
     def __init__(self, tower, margin=1.0):
         if margin <= 0:
@@ -270,83 +282,69 @@ def choose_threshold(distances, labels):
     """Best 'same iff D < tau' split: returns (tau, accuracy).
 
     Sweeps the midpoints of the sorted distances plus one sentinel on each
-    side, and keeps the first tau reaching the best accuracy.
+    side, and keeps the first tau reaching the best accuracy.  Each
+    candidate's correct count comes from cumulative label counts over the
+    sorted distances, so memory stays O(n).
     """
     d = np.asarray(distances, dtype=np.float64)
     y = np.asarray(labels) == 1
     if d.size == 0:
         raise DataError("cannot choose a threshold from zero distances")
-    ds = np.sort(d)
+    order = np.argsort(d, kind="stable")
+    ds = d[order]
     cand = np.concatenate(([ds[0] - 1.0], (ds[:-1] + ds[1:]) / 2.0, [ds[-1] + 1.0]))
-    preds = d[None, :] < cand[:, None]
-    accs = (preds == y[None, :]).mean(axis=1)
-    i = int(np.argmax(accs))
-    return float(cand[i]), float(accs[i])
+    # Candidate i calls the below[i] smallest distances "same"; a midpoint
+    # can round onto either neighbour, so count against the actual value.
+    below = np.searchsorted(ds, cand, side="left")
+    same_below = np.concatenate(([0], np.cumsum(y[order])))[below]
+    correct = 2 * same_below + (d.size - below) - int(np.count_nonzero(y))
+    i = int(np.argmax(correct))
+    return float(cand[i]), float(correct[i] / d.size)
 
 
-def _distance_sweep(model, pairs, dtype, batch_size):
-    losses, counts, dists, labels = [], [], [], []
-    for i in range(0, len(pairs), batch_size):
-        chunk = pairs[i:i + batch_size]
-        loss, stats = model.batch_stats(chunk, dtype)
-        losses.append(float(loss.data) * len(chunk))
-        counts.append(len(chunk))
-        dists.append(stats["distances"])
-        labels.append(stats["labels"])
-    return (sum(losses) / sum(counts),
-            np.concatenate(dists), np.concatenate(labels))
+def _pair_accuracy(distances, labels, tau=None):
+    """Share of pairs called right by 'same iff D < tau'; tau None sweeps
+    for the best tau with ``choose_threshold``."""
+    if tau is None:
+        return choose_threshold(distances, labels)[1]
+    return float(((distances < tau) == (labels == 1)).mean())
 
 
-def _split_metrics(model, pairs, dtype, batch_size=256):
-    """(mean loss, accuracy) over a split, without recording gradients."""
-    if model.kind == "merged":
-        total, correct, n = 0.0, 0, 0
-        for i in range(0, len(pairs), batch_size):
-            chunk = pairs[i:i + batch_size]
-            loss, stats = model.batch_stats(chunk, dtype)
-            total += float(loss.data) * len(chunk)
-            correct += stats["correct"]
-            n += len(chunk)
-        return total / n, correct / n
-    loss, d, y = _distance_sweep(model, pairs, dtype, batch_size)
-    _, acc = choose_threshold(d, y)
-    return loss, acc
-
-
-def evaluate_pairs(model, pairs, threshold_rule=None, batch_size=256):
-    """Fraction of pairs classified correctly.
-
-    Merged models take the argmax over the two logits and ignore
-    ``threshold_rule``.  Distance models predict same iff D < tau, where
-    tau comes from the rule: a number is used as-is; a list of validation
-    PairSamples is swept for the best tau; a callable receives (distances,
-    labels) of those same evaluation pairs; None sweeps the evaluation
-    pairs themselves.
-    """
+def score_pairs(model, pairs):
+    """(mean loss, distances, labels) of ``pairs``, scored in chunks of
+    SCORE_CHUNK without a tape in the model's parameter dtype."""
     pairs = list(pairs)
     if not pairs:
-        raise DataError("evaluate_pairs needs at least one pair")
+        raise DataError("scoring needs at least one pair")
     ps = model.params()
     dtype = ps[0].data.dtype if ps else np.float64
-    if model.kind == "merged":
-        correct, n = 0, 0
-        for i in range(0, len(pairs), batch_size):
-            chunk = pairs[i:i + batch_size]
-            _, stats = model.batch_stats(chunk, dtype)
-            correct += stats["correct"]
-            n += len(chunk)
-        return correct / n
-    _, d, y = _distance_sweep(model, pairs, dtype, batch_size)
-    if threshold_rule is None:
-        tau, _ = choose_threshold(d, y)
-    elif isinstance(threshold_rule, (int, float)):
-        tau = float(threshold_rule)
-    elif callable(threshold_rule):
-        tau = float(threshold_rule(d, y))
-    else:
-        _, vd, vy = _distance_sweep(model, list(threshold_rule), dtype, batch_size)
-        tau, _ = choose_threshold(vd, vy)
-    return float(((d < tau) == (y == 1)).mean())
+    total, dists, labels = 0.0, [], []
+    for i in range(0, len(pairs), SCORE_CHUNK):
+        chunk = pairs[i:i + SCORE_CHUNK]
+        loss, stats = model.batch_stats(chunk, dtype)
+        total += float(loss.data) * len(chunk)
+        dists.append(stats["distances"])
+        labels.append(stats["labels"])
+    return total / len(pairs), np.concatenate(dists), np.concatenate(labels)
+
+
+def evaluate_pairs(model, pairs, threshold_rule=None):
+    """Fraction of pairs classified correctly by 'same iff D < tau'.
+
+    A model with a fixed ``threshold`` (merged) uses it and ignores
+    ``threshold_rule``.  Otherwise tau comes from the rule: a number is used
+    as-is; a list of PairSamples is swept for the best tau; None sweeps the
+    evaluation pairs themselves.
+    """
+    _, d, y = score_pairs(model, pairs)
+    tau = model.threshold
+    if tau is None and threshold_rule is not None:
+        if isinstance(threshold_rule, (int, float)):
+            tau = float(threshold_rule)
+        else:
+            _, vd, vy = score_pairs(model, threshold_rule)
+            tau, _ = choose_threshold(vd, vy)
+    return _pair_accuracy(d, y, tau)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +383,6 @@ def train(model, pairs, loss_kind, config, val_pairs=None):
     for epoch in range(config.epochs):
         order = derive_rng(config.seed, "train", "epoch", epoch).permutation(len(pairs))
         total, n_seen = 0.0, 0
-        correct = 0
         dists, labels = [], []
         for bi, idx in enumerate(_batches(order, config.batch_size)):
             chunk = [pairs[i] for i in idx]
@@ -401,21 +398,15 @@ def train(model, pairs, loss_kind, config, val_pairs=None):
             opt.zero_grad()
             total += float(loss.data) * len(chunk)
             n_seen += len(chunk)
-            if model.kind == "merged":
-                correct += stats["correct"]
-            else:
-                dists.append(stats["distances"])
-                labels.append(stats["labels"])
+            dists.append(stats["distances"])
+            labels.append(stats["labels"])
 
         hist["train_loss"].append(total / n_seen)
-        if model.kind == "merged":
-            hist["train_acc"].append(correct / n_seen)
-        else:
-            _, acc = choose_threshold(np.concatenate(dists), np.concatenate(labels))
-            hist["train_acc"].append(acc)
-        vl, va = _split_metrics(model, val, dtype)
+        hist["train_acc"].append(_pair_accuracy(np.concatenate(dists),
+                                               np.concatenate(labels), model.threshold))
+        vl, vd, vy = score_pairs(model, val)
         hist["val_loss"].append(vl)
-        hist["val_acc"].append(va)
+        hist["val_acc"].append(_pair_accuracy(vd, vy, model.threshold))
 
         current = hist[config.monitor][-1]
         if _improved(config.monitor, best, current, config.min_delta):

@@ -10,6 +10,7 @@ from oneshotid import cli
 from oneshotid import layers as L
 from oneshotid.checkpoint import save_model
 from oneshotid.datasets import read_pgm, write_pgm
+from oneshotid.tensor import Tensor
 
 RECIPE = """
 [experiment]
@@ -206,6 +207,78 @@ def test_eval_relative_paths_use_data_dir_env(tmp_path, capsys, monkeypatch):
     assert cli.main(["eval", "--checkpoint", ckpt,
                      "--pairs", str(manifest)]) == 0
     assert "accuracy=1" in capsys.readouterr().out
+
+
+def _eval_rows(capsys):
+    lines = capsys.readouterr().out.splitlines()
+    return [line.split("\t") for line in lines[:-1]], lines[-1]
+
+
+def test_eval_merged_checkpoint_prints_softmax_same_probability(tmp_path, capsys):
+    rng = np.random.default_rng(21)
+    paths = []
+    for i in range(4):
+        p = tmp_path / f"m{i}.pgm"
+        write_pgm(str(p), rng.uniform(0.1, 0.9, size=(6, 6)))
+        paths.append(str(p))
+    stack = L.LayerStack([L.Flatten(), L.Dense(72, 2, rng=rng)], (2, 6, 6))
+    ckpt = tmp_path / "merged.ckpt"
+    save_model(str(ckpt), stack, extra={"approach": "merged", "merge_mode": "stacked"})
+    rows = [(paths[0], paths[1], 1), (paths[0], paths[2], 0),
+            (paths[1], paths[3], 0), (paths[2], paths[3], 1)]
+    manifest = tmp_path / "pairs.tsv"
+    manifest.write_text("".join(f"{a}\t{b}\t{y}\n" for a, b, y in rows))
+
+    assert cli.main(["eval", "--checkpoint", str(ckpt), "--pairs", str(manifest)]) == 0
+    fields, summary = _eval_rows(capsys)
+    x = np.stack([np.stack([read_pgm(a), read_pgm(b)]) for a, b, _ in rows])
+    logits = stack(Tensor(x)).data
+    p_same = np.exp(logits[:, 1]) / np.exp(logits).sum(axis=1)
+    preds = (p_same > 0.5).astype(int)
+    assert len({int(v) for v in preds}) == 2  # both decisions are exercised
+    for f, p, pred, (a, b, y) in zip(fields, p_same, preds, rows):
+        assert (f[0], f[1], f[4]) == (a, b, str(y))
+        assert float(f[2]) == pytest.approx(p, rel=1e-5)
+        assert f[3] == str(pred)
+    labels = np.array([y for _, _, y in rows])
+    assert summary == f"accuracy={float((preds == labels).mean()):.6g}"
+
+
+def test_eval_siamese_checkpoint_without_threshold_sweeps_manifest(tmp_path, capsys):
+    size = 6
+    levels = {"a0": 0.2, "a1": 0.3, "b0": 0.5, "b1": 0.9}
+    images = {}
+    for name, level in levels.items():
+        p = tmp_path / f"{name}.pgm"
+        write_pgm(str(p), np.full((size, size), level))
+        images[name] = str(p)
+    tower = L.LayerStack([L.Flatten(), L.Dense(size * size, size * size)], (1, size, size))
+    tower.layers[1].weights.data = np.eye(size * size)
+    tower.layers[1].bias.data = np.zeros(size * size)
+    ckpt = tmp_path / "tower.ckpt"
+    save_model(str(ckpt), tower, extra={"approach": "siamese-cnn", "margin": 1.0})
+    # b0-b1 is a same pair farther apart than the different pair a1-b0, so
+    # no threshold gets every row right and the sweep decides.
+    rows = [("a0", "a1", 1), ("a1", "b0", 0), ("b0", "b1", 1),
+            ("a0", "b1", 0), ("a0", "b0", 0)]
+    manifest = tmp_path / "pairs.tsv"
+    manifest.write_text("".join(f"{images[a]}\t{images[b]}\t{y}\n" for a, b, y in rows))
+
+    assert cli.main(["eval", "--checkpoint", str(ckpt), "--pairs", str(manifest)]) == 0
+    fields, summary = _eval_rows(capsys)
+    d = np.array([np.linalg.norm(read_pgm(images[a]) - read_pgm(images[b]))
+                  for a, b, _ in rows])
+    labels = np.array([y for _, _, y in rows])
+    cand = np.concatenate(([d.min() - 1.0], np.sort(d) + 1e-9))
+    accs = [float(((d < t) == (labels == 1)).mean()) for t in cand]
+    best = max(accs)
+    assert best < 1.0
+    tau = cand[accs.index(best)]
+    for f, dist, y in zip(fields, d, labels):
+        assert float(f[2]) == pytest.approx(-dist, rel=1e-5)
+        assert f[3] == str(int(dist < tau))
+        assert f[4] == str(y)
+    assert summary == f"accuracy={best:.6g}"
 
 
 # ---------------------------------------------------------------------------

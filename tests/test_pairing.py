@@ -137,14 +137,6 @@ class TestSamplePairs:
             same = ds.class_ids[p.index_a] == ds.class_ids[p.index_b]
             assert p.y == int(same)
 
-    def test_swap_augmentation_doubles(self):
-        pairs = P.sample_pairs(_dataset(), 10, rng_seed=5, emit_swapped=True)
-        assert len(pairs) == 20
-        for base, mirror in zip(pairs[0::2], pairs[1::2]):
-            assert base.index_a == mirror.index_b
-            assert base.index_b == mirror.index_a
-            assert base.y == mirror.y
-
     def test_zero_pairs(self):
         assert P.sample_pairs(_dataset(), 0) == []
 

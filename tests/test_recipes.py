@@ -305,8 +305,3 @@ def test_run_merge_comparison_rows_and_seeds(tmp_path):
     manifest = (tmp_path / "cmp" / "manifest.txt").read_text()
     entries = dict(line.split("=", 1) for line in manifest.splitlines())
     assert entries["stacked.seed"] == entries["h-join.seed"]
-
-
-def test_run_experiment_rejects_bad_jobs(tmp_path):
-    with pytest.raises(ConfigError):
-        rc.run_experiment(small_recipe(), None, tmp_path / "x", jobs=0)

@@ -382,17 +382,6 @@ def test_evaluate_threshold_from_validation_pairs():
     assert tr.evaluate_pairs(model, test, threshold_rule=val) == 1.0
 
 
-def test_evaluate_threshold_from_callable():
-    size = 4
-    model = tr.DistancePairModel(identity_tower(size))
-    zero = np.zeros((size, size))
-    far = np.full((size, size), 10.0 / size)
-    pairs = [PairSample(zero, zero.copy(), 1), PairSample(zero, far, 0)]
-    acc = tr.evaluate_pairs(model, pairs,
-                            threshold_rule=lambda d, y: float(np.mean(d)))
-    assert acc == 1.0
-
-
 def test_choose_threshold_separated():
     d = np.array([0.0, 0.1, 9.9, 10.0])
     y = np.array([1, 1, 0, 0])
@@ -414,6 +403,58 @@ def test_choose_threshold_all_same_label():
     tau, acc = tr.choose_threshold(np.array([1.0, 2.0]), np.array([1, 1]))
     assert acc == 1.0
     assert tau > 2.0
+
+
+def _choose_threshold_matrix(distances, labels):
+    """Reference: score every candidate against every distance at once."""
+    d = np.asarray(distances, dtype=np.float64)
+    y = np.asarray(labels) == 1
+    ds = np.sort(d)
+    cand = np.concatenate(([ds[0] - 1.0], (ds[:-1] + ds[1:]) / 2.0, [ds[-1] + 1.0]))
+    preds = d[None, :] < cand[:, None]
+    accs = (preds == y[None, :]).mean(axis=1)
+    i = int(np.argmax(accs))
+    return float(cand[i]), float(accs[i])
+
+
+def test_choose_threshold_matches_matrix_reference():
+    rng = derive_rng(0, "threshold-property")
+    for case in range(3000):
+        n = 1 if case % 10 == 0 else int(rng.integers(2, 60))
+        kind = case % 4
+        if kind == 0:  # heavy ties
+            d = rng.integers(0, 4, size=n).astype(float) * 0.5
+        elif kind == 1:  # adjacent floats: midpoints round onto a neighbour
+            d = 1.0 + rng.integers(0, 3, size=n) * np.finfo(float).eps
+        elif kind == 2:  # magnitudes where the +-1 sentinels vanish
+            d = rng.choice([-1e17, 0.0, 1e17], size=n)
+        else:
+            d = rng.normal(size=n)
+        if case % 5 == 0:
+            y = np.full(n, int(rng.integers(0, 2)))  # one label only
+        else:
+            y = rng.integers(0, 2, size=n)
+        assert tr.choose_threshold(d, y) == _choose_threshold_matrix(d, y), (case, d, y)
+
+
+def test_score_pairs_chunks_match_one_batch():
+    model = siamese_toy_model()
+    pairs = toy_pairs(n=tr.SCORE_CHUNK + 44)
+    loss, d, y = tr.score_pairs(model, pairs)
+    whole_loss, stats = model.batch_stats(pairs, np.float64)
+    np.testing.assert_allclose(d, stats["distances"], rtol=1e-12)
+    assert np.array_equal(y, stats["labels"])
+    assert loss == pytest.approx(float(whole_loss.data), rel=1e-12)
+
+
+def test_merged_margin_threshold_matches_argmax():
+    model = merged_toy_model()
+    pairs = toy_pairs(n=40)
+    x = np.stack([np.stack([p.a, p.b]) for p in pairs])
+    y = np.array([p.y for p in pairs])
+    logits = model.stack(Tensor(x)).data
+    argmax_acc = int((np.argmax(logits, axis=1) == y).sum()) / len(pairs)
+    assert tr.evaluate_pairs(model, pairs) == argmax_acc
 
 
 # ---------------------------------------------------------------------------
