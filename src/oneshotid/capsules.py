@@ -94,6 +94,7 @@ class PrimaryCapsuleLayer:
     """
 
     kind = "primary_caps"
+    spec_fields = ("n_p",)
 
     def __init__(self, n_p):
         self.n_p = int(n_p)
@@ -132,6 +133,7 @@ class HighLevelCapsuleLayer:
     """
 
     kind = "high_caps"
+    spec_fields = ("n_in", "n_p", "n_out", "d_out", "routing_iters")
 
     def __init__(self, n_in, n_p, n_out, d_out, routing_iters=3, rng=None):
         if rng is None:
@@ -207,6 +209,8 @@ def build_capsnet(input_shape, n_classes, d_out=16, routing_iters=3,
 
 class Decoder:
     """Dense stack reconstructing an image from one masked capsule vector."""
+
+    spec_fields = ("n_classes", "d_out", "image_shape", "sizes")
 
     def __init__(self, n_classes, d_out, image_shape, sizes=(512, 1024),
                  leak=0.01, seed=0):

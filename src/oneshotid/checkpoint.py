@@ -4,6 +4,15 @@ Layout: 8-byte magic, uint32 format version, uint64 manifest length, the
 manifest as UTF-8 JSON, then each parameter's raw bytes in manifest
 order.  The manifest records enough layer configuration to rebuild the
 architecture without touching initializer seeds, so a load is exact.
+
+Each layer class (and the capsule ``Decoder``) names the attributes a
+checkpoint stores for it in its ``spec_fields`` class attribute.  Each
+name is both an attribute and a constructor argument, so
+``cls(**spec_fields values)`` rebuilds the architecture; initializer
+arguments such as ``rng`` are left out because the parameters are loaded
+afterwards.  A layer's spec is its ``kind`` plus those attributes, and
+loading calls the class registered for that kind.  A spec whose kind is
+unknown, or whose keys differ from ``spec_fields``, is a FormatError.
 """
 
 import json
@@ -14,67 +23,49 @@ import numpy as np
 from . import capsules as caps
 from . import layers as L
 from .errors import FormatError
-from .tensor import Tensor
 
 _MAGIC = b"OSIDCKPT"
 _VERSION = 1
 
+_LAYER_CLASSES = {cls.kind: cls for cls in (
+    L.Conv2d, L.MaxPool2d, L.Dense, L.Activation, L.Flatten,
+    caps.PrimaryCapsuleLayer, caps.HighLevelCapsuleLayer,
+)}
 
-def _layer_spec(layer):
-    kind = layer.kind
-    if kind == "conv":
-        return {"kind": kind, "in_channels": layer.in_channels,
-                "out_channels": layer.out_channels, "kernel": list(layer.kernel),
-                "stride": list(layer.stride), "padding": layer.padding}
-    if kind == "maxpool":
-        return {"kind": kind, "window": list(layer.window), "stride": list(layer.stride)}
-    if kind == "dense":
-        return {"kind": kind, "in_features": layer.in_features,
-                "out_features": layer.out_features}
-    if kind == "act":
-        return {"kind": kind, "name": layer.name, "alpha": layer.alpha}
-    if kind == "flatten":
-        return {"kind": kind}
-    if kind == "primary_caps":
-        return {"kind": kind, "n_p": layer.n_p}
-    if kind == "high_caps":
-        return {"kind": kind, "n_in": layer.n_in, "n_p": layer.n_p,
-                "n_out": layer.n_out, "d_out": layer.d_out,
-                "routing_iters": layer.routing_iters}
-    raise FormatError(f"layer kind {kind!r} has no checkpoint spec")
+
+def _spec(obj):
+    return {f: getattr(obj, f) for f in type(obj).spec_fields}
+
+
+def _build(cls, fields):
+    if set(fields) != set(cls.spec_fields):
+        raise FormatError(
+            f"{cls.__name__} spec has fields {sorted(fields)}, "
+            f"expected {sorted(cls.spec_fields)}"
+        )
+    try:
+        return cls(**fields)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{cls.__name__} spec {fields}: {exc}") from exc
 
 
 def _build_layer(spec):
-    kind = spec["kind"]
-    if kind == "conv":
-        return L.Conv2d(spec["in_channels"], spec["out_channels"],
-                        kernel=tuple(spec["kernel"]), stride=tuple(spec["stride"]),
-                        padding=spec["padding"])
-    if kind == "maxpool":
-        return L.MaxPool2d(window=tuple(spec["window"]), stride=tuple(spec["stride"]))
-    if kind == "dense":
-        return L.Dense(spec["in_features"], spec["out_features"])
-    if kind == "act":
-        return L.Activation(spec["name"], alpha=spec["alpha"])
-    if kind == "flatten":
-        return L.Flatten()
-    if kind == "primary_caps":
-        return caps.PrimaryCapsuleLayer(spec["n_p"])
-    if kind == "high_caps":
-        return caps.HighLevelCapsuleLayer(spec["n_in"], spec["n_p"], spec["n_out"],
-                                          spec["d_out"], spec["routing_iters"])
-    raise FormatError(f"unknown layer kind {kind!r} in checkpoint")
+    fields = dict(spec)
+    kind = fields.pop("kind", None)
+    if kind not in _LAYER_CLASSES:
+        raise FormatError(f"unknown layer kind {kind!r} in checkpoint")
+    return _build(_LAYER_CLASSES[kind], fields)
 
 
 def _stack_manifest(stack):
     return {
-        "layers": [_layer_spec(l) for l in stack.layers],
+        "layers": [{"kind": l.kind, **_spec(l)} for l in stack.layers],
         "input_shape": list(stack.input_shape),
     }
 
 
-def _stack_params(stack):
-    return stack.named_params()
+def _build_stack(spec):
+    return L.LayerStack([_build_layer(s) for s in spec["layers"]], tuple(spec["input_shape"]))
 
 
 def write_checkpoint(path, manifest, named_arrays):
@@ -155,22 +146,15 @@ def save_model(path, model, extra=None):
         manifest = {
             "model": "capsnet",
             "encoder": _stack_manifest(model.encoder),
-            "decoder": {
-                "n_classes": model.decoder.n_classes,
-                "d_out": model.decoder.d_out,
-                "image_shape": list(model.decoder.image_shape),
-                "sizes": list(model.decoder.sizes),
-            },
+            "decoder": _spec(model.decoder),
             "recon_threshold": model.recon_threshold,
             "recon_loss": model.recon_loss,
         }
-        named = [("encoder." + n, p.data) for n, p in model.encoder.named_params()]
-        named += [("decoder." + n, p.data) for n, p in model.decoder.named_params()]
     elif isinstance(model, L.LayerStack):
         manifest = {"model": "stack", "stack": _stack_manifest(model)}
-        named = [(n, p.data) for n, p in _stack_params(model)]
     else:
         raise FormatError(f"cannot checkpoint a {type(model).__name__}")
+    named = [(n, p.data) for n, p in model.named_params()]
     if extra is not None:
         manifest["extra"] = dict(extra)
     write_checkpoint(path, manifest, named)
@@ -181,18 +165,12 @@ def load_model(path):
     manifest, arrays = read_checkpoint(path)
     kind = manifest.get("model")
     if kind == "stack":
-        spec = manifest["stack"]
-        stack = L.LayerStack([_build_layer(s) for s in spec["layers"]],
-                             tuple(spec["input_shape"]))
+        stack = _build_stack(manifest["stack"])
         _load_into(stack, arrays)
         return stack
     if kind == "capsnet":
-        enc_spec = manifest["encoder"]
-        encoder = L.LayerStack([_build_layer(s) for s in enc_spec["layers"]],
-                               tuple(enc_spec["input_shape"]))
-        d = manifest["decoder"]
-        decoder = caps.Decoder(d["n_classes"], d["d_out"], tuple(d["image_shape"]),
-                               sizes=tuple(d["sizes"]))
+        encoder = _build_stack(manifest["encoder"])
+        decoder = _build(caps.Decoder, manifest["decoder"])
         _load_into(encoder, arrays, prefix="encoder.")
         _load_into(decoder.stack, arrays, prefix="decoder.")
         model = caps.CapsNet(encoder, decoder, recon_threshold=manifest["recon_threshold"])

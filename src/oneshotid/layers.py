@@ -122,6 +122,7 @@ def _he_uniform(rng, fan_in, shape):
 
 class Conv2d:
     kind = "conv"
+    spec_fields = ("in_channels", "out_channels", "kernel", "stride", "padding")
 
     def __init__(self, in_channels, out_channels, kernel=3, stride=1, padding=0, rng=None):
         kh, kw = _pair(kernel)
@@ -163,6 +164,7 @@ class Conv2d:
 
 class MaxPool2d:
     kind = "maxpool"
+    spec_fields = ("window", "stride")
 
     def __init__(self, window=2, stride=None):
         self.window = _pair(window)
@@ -189,6 +191,7 @@ class MaxPool2d:
 
 class Dense:
     kind = "dense"
+    spec_fields = ("in_features", "out_features")
 
     def __init__(self, in_features, out_features, rng=None):
         if rng is None:
@@ -218,6 +221,7 @@ class Dense:
 
 class Activation:
     kind = "act"
+    spec_fields = ("name", "alpha")
 
     _names = ("relu", "leaky_relu", "sigmoid")
 
@@ -245,6 +249,7 @@ class Activation:
 
 class Flatten:
     kind = "flatten"
+    spec_fields = ()
 
     def params(self):
         return []

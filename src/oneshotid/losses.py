@@ -52,7 +52,7 @@ def contrastive_loss(e1, e2, y, margin=1.0):
     same = T.mul(T.square(dist), 0.5)
     hinge = T.relu(T.sub(margin, dist))
     diff = T.mul(T.square(hinge), 0.5)
-    yt = T.Tensor(yarr)
+    yt = T.Tensor(yarr, dtype=e1.dtype)
     per_pair = T.add(T.mul(yt, same), T.mul(T.sub(1.0, yt), diff))
     return T.tmean(per_pair)
 

@@ -20,7 +20,7 @@ from .capsules import build_capsnet
 from .datasets import (Dataset, SyntheticAnodeSpec, downscale_dataset,
                        generate_synthetic_anodes, kfold_split, load_pgm_faces,
                        load_smallnorb)
-from .errors import ConfigError, DataError
+from .errors import ConfigError
 from .layers import build_merged_cnn, build_siamese_tower
 from .pairing import class_subset, holdout_split, merge, sample_pairs
 from .rng import derive_seed
@@ -96,43 +96,36 @@ class ExperimentRecipe:
 # parsing
 # ---------------------------------------------------------------------------
 
-_EXPERIMENT_KEYS = {
-    "approach": str,
-    "dataset": str,
-    "merge_mode": str,
-    "protocol": str,
-    "folds": int,
-    "held_out_classes": int,
-    "n_pairs": int,
-    "n_val_pairs": int,
-    "balance": float,
-    "margin": float,
-    "downscale": int,
-    "seed": int,
-    "synthetic_classes": int,
-    "synthetic_views": int,
-    "image_size": int,
-    "caps_classes": int,
-    "caps_d_out": int,
-    "routing_iters": int,
-}
+def _scalar_keys(cls, exclude):
+    """INI keys of a dataclass: its str, int and float fields, minus ``exclude``."""
+    return {f.name: f.type for f in dataclasses.fields(cls)
+            if f.type in (str, int, float) and f.name not in exclude}
 
-_TRAIN_KEYS = {
-    "batch_size": int,
-    "epochs": int,
-    "lr": float,
-    "rho": float,
-    "eps": float,
-    "patience": int,
-    "min_delta": float,
-    "monitor": str,
-    "precision": str,
-}
+
+# augment_multiplier is spelled ``multiplier`` in [augment], and the train
+# seed is always the recipe seed.
+_EXPERIMENT_KEYS = _scalar_keys(ExperimentRecipe, exclude=("augment_multiplier",))
+_TRAIN_KEYS = _scalar_keys(TrainConfig, exclude=("seed",))
 
 _AUGMENT_RANGE_KEYS = ("rotation", "brightness", "burn_count", "burn_radius",
                        "burn_intensity")
 _AUGMENT_SCALAR_KEYS = ("blur_sigma", "contour_amplitude", "contour_sigma",
                         "background")
+
+
+def _number_pair(raw):
+    parts = raw.split()
+    if len(parts) != 2:
+        raise ValueError("expected two numbers")
+    return float(parts[0]), float(parts[1])
+
+
+# A run derives its augment seed from the recipe seed, so a recipe's
+# [augment] section takes no seed; a standalone augment config does.
+_RECIPE_AUGMENT_KEYS = {"multiplier": int,
+                        **dict.fromkeys(_AUGMENT_RANGE_KEYS, _number_pair),
+                        **dict.fromkeys(_AUGMENT_SCALAR_KEYS, float)}
+_AUGMENT_KEYS = {**_RECIPE_AUGMENT_KEYS, "seed": int}
 
 
 def _parse_section(section, items, key_types):
@@ -148,28 +141,30 @@ def _parse_section(section, items, key_types):
     return out
 
 
-def _parse_range(section, key, raw):
-    parts = raw.split()
-    if len(parts) != 2:
-        raise ConfigError(f"[{section}] {key} must be two numbers, got {raw!r}")
-    try:
-        return (float(parts[0]), float(parts[1]))
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
-
-
-def parse_recipe_text(text, name="<recipe>"):
+def _read_ini(text, name, required):
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text, source=name)
     except configparser.Error as exc:
         raise ConfigError(f"{name}: {exc}") from exc
-    known = {"experiment", "train", "augment"}
-    extra = set(parser.sections()) - known
+    if required not in parser:
+        raise ConfigError(f"{name}: missing [{required}] section")
+    return parser
+
+
+def _parse_augment(items, key_types, default_multiplier):
+    kwargs = _parse_section("augment", items, key_types)
+    multiplier = kwargs.pop("multiplier", default_multiplier)
+    if multiplier < 0:
+        raise ConfigError(f"[augment] multiplier must be >= 0, got {multiplier}")
+    return AugmentConfig(**kwargs), multiplier
+
+
+def parse_recipe_text(text, name="<recipe>"):
+    parser = _read_ini(text, name, "experiment")
+    extra = set(parser.sections()) - {"experiment", "train", "augment"}
     if extra:
         raise ConfigError(f"{name}: unknown sections {sorted(extra)}")
-    if "experiment" not in parser:
-        raise ConfigError(f"{name}: missing [experiment] section")
 
     exp = _parse_section("experiment", parser.items("experiment"), _EXPERIMENT_KEYS)
     if "approach" not in exp or "dataset" not in exp:
@@ -183,45 +178,20 @@ def parse_recipe_text(text, name="<recipe>"):
     augment = None
     multiplier = 0
     if "augment" in parser:
-        augment, multiplier = _parse_augment_items(parser.items("augment"),
-                                                   default_multiplier=0)
+        augment, multiplier = _parse_augment(parser.items("augment"), _RECIPE_AUGMENT_KEYS,
+                                             default_multiplier=0)
 
     return ExperimentRecipe(train=train_config, augment=augment,
                             augment_multiplier=multiplier, **exp)
 
 
-def _parse_augment_items(items, default_multiplier):
-    aug_kwargs = {}
-    multiplier = default_multiplier
-    for key, raw in items:
-        if key == "multiplier":
-            multiplier = int(raw)
-        elif key == "seed":
-            aug_kwargs[key] = int(raw)
-        elif key in _AUGMENT_RANGE_KEYS:
-            aug_kwargs[key] = _parse_range("augment", key, raw)
-        elif key in _AUGMENT_SCALAR_KEYS:
-            aug_kwargs[key] = float(raw)
-        else:
-            raise ConfigError(f"[augment] has no key {key!r}")
-    if multiplier < 0:
-        raise ConfigError(f"[augment] multiplier must be >= 0, got {multiplier}")
-    return AugmentConfig(**aug_kwargs), multiplier
-
-
 def read_augment_config(path):
     """Parse a standalone augmentation config: an INI file whose [augment]
-    section uses the same keys as a recipe's; multiplier defaults to 1."""
+    section uses a recipe's keys plus ``seed``; multiplier defaults to 1."""
     with open(path, encoding="utf-8") as f:
         text = f.read()
-    parser = configparser.ConfigParser(interpolation=None)
-    try:
-        parser.read_string(text, source=str(path))
-    except configparser.Error as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    if "augment" not in parser:
-        raise ConfigError(f"{path}: missing [augment] section")
-    return _parse_augment_items(parser.items("augment"), default_multiplier=1)
+    parser = _read_ini(text, str(path), "augment")
+    return _parse_augment(parser.items("augment"), _AUGMENT_KEYS, default_multiplier=1)
 
 
 def read_recipe(path):

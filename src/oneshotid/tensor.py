@@ -106,71 +106,19 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self):
-        return float(self.data.reshape(-1)[0]) if self.data.size == 1 else self._not_scalar()
-
-    def _not_scalar(self):
-        raise ShapeError(f"item() needs a scalar tensor, got shape {self.shape}")
-
-    def zero_grad(self):
-        self.grad = None
-
-    def detach(self):
-        """A view of the same data with no tape attachment."""
-        t = Tensor(self.data, requires_grad=False)
-        return t
-
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{flag})"
 
-    # -- operator sugar; all arithmetic routes through the module-level ops --
 
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other, self.dtype), self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(_as_tensor(other, self.dtype), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) != 1 or not isinstance(shape[0], (tuple, list)) else shape[0])
-
-    def transpose(self, axes):
-        return transpose(self, axes)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-
-def _as_tensor(x, dtype=None):
+def _as_tensor(x, like=None):
+    """``x`` as a Tensor.  A plain number next to the Tensor ``like`` gets
+    the dtype NumPy gives a Python scalar there, so float32 stays float32."""
     if isinstance(x, Tensor):
         return x
-    return Tensor(np.asarray(x, dtype=dtype))
+    if isinstance(like, Tensor) and isinstance(x, (int, float)):
+        return Tensor(np.asarray(x, dtype=np.result_type(like.data, x)))
+    return Tensor(np.asarray(x))
 
 
 def _check_finite(data, op_name):
@@ -248,7 +196,7 @@ def _unbroadcast(g, shape):
 # ---------------------------------------------------------------------------
 
 def add(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _as_tensor(a, b), _as_tensor(b, a)
     data = a.data + b.data
     ash, bsh = a.shape, b.shape
 
@@ -259,7 +207,7 @@ def add(a, b):
 
 
 def sub(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _as_tensor(a, b), _as_tensor(b, a)
     data = a.data - b.data
     ash, bsh = a.shape, b.shape
 
@@ -270,7 +218,7 @@ def sub(a, b):
 
 
 def mul(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _as_tensor(a, b), _as_tensor(b, a)
     data = a.data * b.data
     ad, bd = a.data, b.data
 
@@ -281,7 +229,7 @@ def mul(a, b):
 
 
 def div(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _as_tensor(a, b), _as_tensor(b, a)
     data = a.data / b.data
     ad, bd = a.data, b.data
 
@@ -336,7 +284,7 @@ def leaky_relu(x, alpha=0.01):
     x = _as_tensor(x)
     mask = x.data > 0
     data = np.where(mask, x.data, alpha * x.data)
-    return from_op("leaky_relu", data, (x,), lambda g: (g * np.where(mask, 1.0, alpha),))
+    return from_op("leaky_relu", data, (x,), lambda g: (np.where(mask, g, alpha * g),))
 
 
 def sigmoid(x):

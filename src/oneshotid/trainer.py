@@ -144,9 +144,6 @@ def rmsprop_step(params, grads, state, lr, rho, eps):
             f"params/grads/state lengths differ: {len(params)}/{len(grads)}/{len(state)}"
         )
     for p, g, s in zip(params, grads, state):
-        # Upstream mixing can promote gradients to float64; updates keep
-        # each parameter's own precision.
-        g = np.asarray(g, dtype=p.data.dtype)
         if g.shape != p.data.shape or s.shape != p.data.shape:
             raise ShapeError(
                 f"rmsprop_step shape mismatch: param {p.data.shape}, "
@@ -481,8 +478,9 @@ def crossvalidate(fold_runner, dataset, k, config):
 
     Each fold gets a seed derived from (config.seed, fold), so results do
     not depend on execution order.  The runner returns a RunReport whose
-    ``test_accuracy`` feeds the mean/std summary.  Fold failures are
-    re-raised with the fold index attached.
+    ``test_accuracy`` feeds the mean/std summary.  A fold failure is
+    re-raised as the same exception with the fold index prefixed to its
+    message (or, when it has no single-string message, added as a note).
     """
     reports = []
     for fold in range(k):
@@ -491,7 +489,11 @@ def crossvalidate(fold_runner, dataset, k, config):
         try:
             report = fold_runner(fold, train_ds, val_ds, fold_config)
         except Exception as exc:
-            raise type(exc)(f"fold {fold}: {exc}") from exc
+            if len(exc.args) == 1 and isinstance(exc.args[0], str):
+                exc.args = (f"fold {fold}: {exc.args[0]}",)
+            else:
+                exc.add_note(f"in fold {fold}")
+            raise
         reports.append(report)
     accs = []
     for fold, report in enumerate(reports):

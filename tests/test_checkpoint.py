@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,81 @@ def tiny_capsnet(seed=7):
                         kernels=(3, 3), strides=(1, 2), n_p=4, seed=seed)
     dec = Decoder(3, 4, (12, 12), sizes=(16,), seed=seed)
     return CapsNet(enc, dec, recon_threshold=0.02)
+
+
+def arange_filled(model):
+    for _, p in model.named_params():
+        p.data = np.arange(p.data.size, dtype=np.float64).reshape(p.data.shape) / 7.0
+    return model
+
+
+def golden_stack():
+    """Every stack layer kind, with non-default strides, padding and alpha."""
+    layers = [
+        L.Conv2d(2, 4, kernel=3, stride=(1, 2), padding=1),
+        L.Activation("relu"),
+        L.MaxPool2d(2, stride=1),
+        L.Flatten(),
+        L.Dense(4 * 7 * 3, 5),
+        L.Activation("leaky_relu", alpha=0.05),
+        L.Dense(5, 2),
+        L.Activation("sigmoid"),
+    ]
+    return arange_filled(L.LayerStack(layers, (2, 8, 8)))
+
+
+def golden_capsnet():
+    enc = build_capsnet((12, 12, 1), n_classes=3, d_out=4, conv_channels=(8, 8),
+                        kernels=(3, 3), strides=(1, 2), n_p=4, routing_iters=2, seed=7)
+    model = CapsNet(enc, Decoder(3, 4, (12, 12), sizes=(16, 8), seed=7),
+                    recon_threshold=0.02)
+    model.recon_loss = 0.011
+    return arange_filled(model)
+
+
+# SHA-256 of what save_model writes for these models.  The parameters hold
+# no random draws, so a changed digest means a changed checkpoint format.
+GOLDEN_DIGESTS = {
+    golden_stack: "ea8c6525e53e231cecfc853e64ad373d070d322a2ea9cb7e71b6000e85a8d765",
+    golden_capsnet: "74f7f6559e8215291878b5eec08650a7d1e19057c65d1642f9fb2467845ba32e",
+}
+
+
+@pytest.mark.parametrize("build", list(GOLDEN_DIGESTS), ids=["stack", "capsnet"])
+def test_save_model_bytes_match_golden_digest(tmp_path, build):
+    path = tmp_path / "golden.ckpt"
+    ckpt.save_model(path, build())
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_DIGESTS[build]
+    ckpt.save_model(tmp_path / "again.ckpt", ckpt.load_model(path))
+    assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
+
+
+BAD_SPECS = {
+    "missing-field": (small_stack, lambda m: m["stack"]["layers"][0].pop("padding"),
+                      "padding"),
+    "extra-field": (small_stack, lambda m: m["stack"]["layers"][2].update(dilation=1),
+                    "dilation"),
+    "unknown-kind": (small_stack, lambda m: m["stack"]["layers"][1].update(kind="gelu"),
+                     "gelu"),
+    "no-kind": (small_stack, lambda m: m["stack"]["layers"][3].pop("kind"), "None"),
+    "bad-value": (small_stack, lambda m: m["stack"]["layers"][1].update(name="tanh"),
+                  "tanh"),
+    "encoder-layer": (tiny_capsnet, lambda m: m["encoder"]["layers"][-1].pop("n_out"),
+                      "n_out"),
+    "decoder-field": (tiny_capsnet, lambda m: m["decoder"].pop("sizes"), "sizes"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_SPECS))
+def test_layer_spec_mismatch_is_format_error(tmp_path, case):
+    build, edit, needle = BAD_SPECS[case]
+    path = tmp_path / "model.ckpt"
+    ckpt.save_model(path, build())
+    manifest, arrays = ckpt.read_checkpoint(path)
+    edit(manifest)
+    ckpt.write_checkpoint(path, manifest, arrays)
+    with pytest.raises(FormatError, match=needle):
+        ckpt.load_model(path)
 
 
 def test_stack_round_trip_params_and_outputs(tmp_path):

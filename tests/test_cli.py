@@ -1,5 +1,4 @@
 import filecmp
-import os
 import subprocess
 import sys
 
@@ -8,8 +7,9 @@ import pytest
 
 from oneshotid import cli
 from oneshotid import layers as L
-from oneshotid.checkpoint import save_model
+from oneshotid.checkpoint import read_checkpoint, save_model, write_checkpoint
 from oneshotid.datasets import read_pgm, write_pgm
+from oneshotid.errors import DataError
 from oneshotid.tensor import Tensor
 
 RECIPE = """
@@ -118,6 +118,18 @@ def test_crossval_forces_kfold(tmp_path, capsys):
     assert (out / "fold-1" / "summary.txt").exists()
 
 
+def test_train_fold_data_error_exits_two_with_fold(tmp_path, capsys, monkeypatch):
+    from oneshotid import recipes
+
+    def failing_run(recipe, train_ds, eval_ds, config, out_dir=None, tag=""):
+        raise DataError("no usable pairs")
+
+    monkeypatch.setattr(recipes, "_run_single", failing_run)
+    recipe = write_recipe(tmp_path)
+    assert cli.main(["train", "--recipe", recipe, "--out", str(tmp_path / "run")]) == 2
+    assert "error: fold 0: no usable pairs" in capsys.readouterr().err
+
+
 def test_train_missing_recipe_exits_two(tmp_path, capsys):
     rcode = cli.main(["train", "--recipe", str(tmp_path / "absent.cfg"),
                       "--out", str(tmp_path / "o")])
@@ -197,6 +209,20 @@ def test_eval_checkpoint_without_metadata_exits_two(tmp_path, capsys):
     assert cli.main(["eval", "--checkpoint", str(ckpt),
                      "--pairs", str(manifest)]) == 2
     assert "metadata" in capsys.readouterr().err
+
+
+def test_eval_checkpoint_with_bad_layer_spec_exits_two(tmp_path, capsys):
+    images = flat_images(tmp_path)
+    ckpt = tmp_path / "conv.ckpt"
+    tower = L.LayerStack([L.Conv2d(1, 2, kernel=3), L.Flatten(), L.Dense(32, 4)], (1, 6, 6))
+    save_model(str(ckpt), tower, extra={"approach": "siamese-cnn", "margin": 1.0})
+    manifest, arrays = read_checkpoint(ckpt)
+    del manifest["stack"]["layers"][0]["padding"]
+    write_checkpoint(ckpt, manifest, arrays)
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text(f"{images['a0']}\t{images['a1']}\t1\n")
+    assert cli.main(["eval", "--checkpoint", str(ckpt), "--pairs", str(pairs)]) == 2
+    assert "padding" in capsys.readouterr().err
 
 
 def test_eval_relative_paths_use_data_dir_env(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -97,9 +95,13 @@ def test_single_seed_flows_into_train_config():
     ("[experiment]\napproach = merged\ndataset = att-faces\nbalance = 1.5\n", "balance"),
     ("[experiment]\napproach = merged\ndataset = att-faces\n[train]\nseed = 1\n", "seed"),
     ("[experiment]\napproach = merged\ndataset = att-faces\n[augment]\nvolume = 1\n", "volume"),
+    ("[experiment]\napproach = merged\ndataset = att-faces\n[augment]\nseed = 4\n", "seed"),
+    ("[experiment]\napproach = merged\ndataset = att-faces\n[augment]\nmultiplier = x\n",
+     "multiplier"),
 ], ids=["no-approach", "no-dataset", "bad-approach", "unknown-key",
         "unknown-section", "bad-protocol", "bad-merge", "bad-folds",
-        "bad-balance", "train-seed-rejected", "bad-augment-key"])
+        "bad-balance", "train-seed-rejected", "bad-augment-key",
+        "augment-seed-rejected", "bad-augment-multiplier"])
 def test_parse_rejects_invalid_recipes(text, needle):
     with pytest.raises(ConfigError, match=needle):
         rc.parse_recipe_text(text)

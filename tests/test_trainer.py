@@ -273,6 +273,48 @@ def test_train_float32_precision_casts_params():
     assert all(np.isfinite(v) for v in report.train_loss)
 
 
+@pytest.mark.parametrize("tower", ["merged", "siamese-cnn", "siamese-capsnet"])
+def test_float32_training_stays_float32(tower, monkeypatch):
+    from oneshotid import tensor as T
+    from oneshotid.capsules import build_capsnet
+
+    seen = []
+    from_op = T.from_op
+    rmsprop_step = tr.rmsprop_step
+
+    def spy_from_op(op_name, data, inputs, backward_fn):
+        def checked_backward(g):
+            grads = backward_fn(g)
+            seen.extend((op_name + " backward", ig.dtype) for ig in grads if ig is not None)
+            return grads
+
+        seen.append((op_name, data.dtype))
+        return from_op(op_name, data, inputs, checked_backward)
+
+    def spy_rmsprop_step(params, grads, state, *args):
+        seen.extend(("optimizer grad", g.dtype) for g in grads)
+        rmsprop_step(params, grads, state, *args)
+
+    monkeypatch.setattr(T, "from_op", spy_from_op)
+    monkeypatch.setattr(tr, "rmsprop_step", spy_rmsprop_step)
+    if tower == "merged":
+        model = tr.MergedPairModel(L.build_merged_cnn((16, 16, 2), seed=1))
+        size = 16
+    elif tower == "siamese-cnn":
+        model = tr.DistancePairModel(L.build_siamese_tower((20, 20, 1), seed=1))
+        size = 20
+    else:
+        model = tr.DistancePairModel(build_capsnet(
+            (12, 12, 1), n_classes=3, d_out=4, conv_channels=(8, 8), kernels=(3, 3),
+            strides=(1, 2), n_p=4, routing_iters=2, seed=1))
+        size = 12
+    cfg = tr.TrainConfig(lr=1e-3, epochs=1, batch_size=4, precision="float32")
+    tr.train(model, toy_pairs(n=8, size=size), model.loss_kind, cfg)
+    assert any(name == "optimizer grad" for name, _ in seen)
+    promoted = sorted({name for name, dtype in seen if dtype != np.float32})
+    assert promoted == []
+
+
 def test_train_with_explicit_validation_pairs():
     train_pairs = toy_pairs(n=32, seed=0)
     val_pairs = toy_pairs(n=16, seed=99)
@@ -526,6 +568,28 @@ def test_crossvalidate_tags_errors_with_fold():
 
     with pytest.raises(DataError, match=r"fold 2"):
         tr.crossvalidate(bad_runner, ds, 4, tr.TrainConfig())
+
+
+def test_crossvalidate_keeps_exception_type_and_adds_fold():
+    ds = grid_dataset()
+
+    def raising(exc):
+        def run(fold, train_ds, val_ds, cfg):
+            if fold == 1:
+                raise exc
+            return fake_runner([0.5] * 4)(fold, train_ds, val_ds, cfg)
+
+        return run
+
+    with pytest.raises(KeyError) as info:
+        tr.crossvalidate(raising(KeyError("monitor")), ds, 4, tr.TrainConfig())
+    assert str(info.value) == "'fold 1: monitor'"
+
+    bad_bytes = UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
+    with pytest.raises(UnicodeDecodeError) as info:
+        tr.crossvalidate(raising(bad_bytes), ds, 4, tr.TrainConfig())
+    assert info.value.reason == "invalid start byte"
+    assert "in fold 1" in info.value.__notes__
 
 
 def test_crossvalidate_end_to_end_on_toy_data():
