@@ -64,8 +64,16 @@ def _stack_manifest(stack):
     }
 
 
-def _build_stack(spec):
-    return L.LayerStack([_build_layer(s) for s in spec["layers"]], tuple(spec["input_shape"]))
+def _field(mapping, key, where):
+    try:
+        return mapping[key]
+    except KeyError:
+        raise FormatError(f"checkpoint {where} has no {key!r}") from None
+
+
+def _build_stack(spec, where):
+    layers = [_build_layer(s) for s in _field(spec, "layers", where)]
+    return L.LayerStack(layers, tuple(_field(spec, "input_shape", where)))
 
 
 def write_checkpoint(path, manifest, named_arrays):
@@ -165,15 +173,16 @@ def load_model(path):
     manifest, arrays = read_checkpoint(path)
     kind = manifest.get("model")
     if kind == "stack":
-        stack = _build_stack(manifest["stack"])
+        stack = _build_stack(_field(manifest, "stack", "manifest"), "stack")
         _load_into(stack, arrays)
         return stack
     if kind == "capsnet":
-        encoder = _build_stack(manifest["encoder"])
-        decoder = _build(caps.Decoder, manifest["decoder"])
+        encoder = _build_stack(_field(manifest, "encoder", "manifest"), "encoder")
+        decoder = _build(caps.Decoder, _field(manifest, "decoder", "manifest"))
         _load_into(encoder, arrays, prefix="encoder.")
         _load_into(decoder.stack, arrays, prefix="decoder.")
-        model = caps.CapsNet(encoder, decoder, recon_threshold=manifest["recon_threshold"])
-        model.recon_loss = manifest["recon_loss"]
+        model = caps.CapsNet(encoder, decoder,
+                             recon_threshold=_field(manifest, "recon_threshold", "manifest"))
+        model.recon_loss = _field(manifest, "recon_loss", "manifest")
         return model
     raise FormatError(f"{path}: unknown model kind {kind!r}")

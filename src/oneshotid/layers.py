@@ -7,6 +7,13 @@ and convert once at the boundary.
 Convolution is cross-correlation (no kernel flip) without padding unless
 asked for; pooling is max with gradient routed to the first occurrence of
 the window maximum.
+
+``conv2d`` runs on one column layout: the im2col matrix is
+[C*kh*kw, N*oh*ow], its rows ordered (channel, tap) like the flattened
+weights, so the forward and all three gradients are single matrix products
+and the input gradient is scattered back one contiguous tap block at a
+time.  The input gradient is computed only for inputs that require one;
+the first convolution of a tower, which sees raw images, skips it.
 """
 
 import math
@@ -38,9 +45,13 @@ def conv2d(x, weights, bias, stride=1, padding=0):
     """Batched 2-D cross-correlation with bias, recorded on the tape.
 
     x: [N, C, H, W]; weights: [O, C, kh, kw]; bias: [O].
-    Forward runs as one im2col matrix product; backward reuses the saved
-    column matrix for the weight gradient and scatters the column gradient
-    back per kernel tap.
+    Forward is ``weights [O, C*kh*kw] @ cols [C*kh*kw, N*oh*ow]``, returned
+    as an [N, O, oh, ow] view of the [O, N, oh, ow] product plus the bias.
+    Backward takes the upstream gradient as [O, N*oh*ow] once: the weight
+    gradient is one product with the saved columns, and the column gradient
+    ``weights.T @ g`` comes out [C, kh, kw, N, oh, ow], so each kernel tap
+    adds a contiguous block into a [C, N, H, W] buffer.  When ``x`` does not
+    require a gradient, its gradient is None and neither step runs.
     """
     if x.ndim != 4:
         raise ShapeError(f"conv2d input must be [N,C,H,W], got {x.shape}")
@@ -62,24 +73,26 @@ def conv2d(x, weights, bias, stride=1, padding=0):
 
     xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
     win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n, oh * ow, c * kh * kw)
+    cols = win.transpose(1, 4, 5, 0, 2, 3).reshape(c * kh * kw, n * oh * ow)
     w2 = weights.data.reshape(o, -1)
-    out = cols @ w2.T + bias.data
-    out = out.transpose(0, 2, 1).reshape(n, o, oh, ow)
+    out = (w2 @ cols).reshape(o, n, oh, ow).transpose(1, 0, 2, 3) + bias.data[:, None, None]
+    need_dx = x.requires_grad
 
     def bwd(g):
-        g2 = g.transpose(0, 2, 3, 1).reshape(n, oh * ow, o)
-        dw = np.einsum("nio,nik->ok", g2, cols, optimize=True).reshape(o, c, kh, kw)
-        db = g2.sum(axis=(0, 1))
-        dwin = (g2 @ w2).reshape(n, oh, ow, c, kh, kw)
-        dxp = np.zeros_like(xp)
+        g2 = g.transpose(1, 0, 2, 3).reshape(o, n * oh * ow)
+        dw = (g2 @ cols.T).reshape(o, c, kh, kw)
+        db = g2.sum(axis=1)
+        if not need_dx:
+            return None, dw, db
+        dcols = (w2.T @ g2).reshape(c, kh, kw, n, oh, ow)
+        dxp = np.zeros((c, n) + xp.shape[2:], dtype=xp.dtype)
         for i in range(kh):
             for j in range(kw):
                 dxp[:, :, i : i + sh * (oh - 1) + 1 : sh, j : j + sw * (ow - 1) + 1 : sw] += (
-                    dwin[:, :, :, :, i, j].transpose(0, 3, 1, 2)
+                    dcols[:, i, j]
                 )
         dx = dxp[:, :, pad : pad + h, pad : pad + w] if pad else dxp
-        return dx, dw, db
+        return dx.transpose(1, 0, 2, 3), dw, db
 
     return T.from_op("conv2d", out, (x, weights, bias), bwd)
 
@@ -104,13 +117,10 @@ def maxpool2d(x, window, stride=None):
     def bwd(g):
         rows = idx // pw + (np.arange(oh) * sh)[None, None, :, None]
         cols_ = idx % pw + (np.arange(ow) * sw)[None, None, None, :]
-        dx = np.zeros_like(x.data)
-        np.add.at(
-            dx,
-            (np.arange(n)[:, None, None, None], np.arange(c)[None, :, None, None], rows, cols_),
-            g,
-        )
-        return (dx,)
+        flat = ((np.arange(n)[:, None, None, None] * c + np.arange(c)[None, :, None, None])
+                * h + rows) * w + cols_
+        dx = np.bincount(flat.ravel(), weights=g.ravel(), minlength=x.size)
+        return (dx.reshape(x.shape).astype(x.dtype, copy=False),)
 
     return T.from_op("maxpool2d", out, (x,), bwd)
 

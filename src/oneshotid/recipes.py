@@ -185,22 +185,23 @@ def parse_recipe_text(text, name="<recipe>"):
                             augment_multiplier=multiplier, **exp)
 
 
+def _read_config_text(path, what):
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+
+
 def read_augment_config(path):
     """Parse a standalone augmentation config: an INI file whose [augment]
     section uses a recipe's keys plus ``seed``; multiplier defaults to 1."""
-    with open(path, encoding="utf-8") as f:
-        text = f.read()
-    parser = _read_ini(text, str(path), "augment")
+    parser = _read_ini(_read_config_text(path, "augment config"), str(path), "augment")
     return _parse_augment(parser.items("augment"), _AUGMENT_KEYS, default_multiplier=1)
 
 
 def read_recipe(path):
-    try:
-        with open(path, encoding="utf-8") as f:
-            text = f.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read recipe {path}: {exc}") from exc
-    return parse_recipe_text(text, name=str(path))
+    return parse_recipe_text(_read_config_text(path, "recipe"), name=str(path))
 
 
 def recipe_items(recipe):

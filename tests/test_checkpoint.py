@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oneshotid import checkpoint as ckpt
+from oneshotid import cli
 from oneshotid import layers as L
 from oneshotid.capsules import CapsNet, Decoder, build_capsnet
 from oneshotid.errors import FormatError
@@ -104,6 +105,40 @@ def test_layer_spec_mismatch_is_format_error(tmp_path, case):
     ckpt.write_checkpoint(path, manifest, arrays)
     with pytest.raises(FormatError, match=needle):
         ckpt.load_model(path)
+
+
+MISSING_KEYS = [
+    (small_stack, ("stack",)),
+    (small_stack, ("stack", "layers")),
+    (small_stack, ("stack", "input_shape")),
+    (tiny_capsnet, ("encoder",)),
+    (tiny_capsnet, ("encoder", "layers")),
+    (tiny_capsnet, ("encoder", "input_shape")),
+    (tiny_capsnet, ("decoder",)),
+    (tiny_capsnet, ("recon_threshold",)),
+    (tiny_capsnet, ("recon_loss",)),
+]
+
+
+@pytest.mark.parametrize("build,keys", MISSING_KEYS,
+                         ids=[".".join(keys) for _, keys in MISSING_KEYS])
+def test_missing_manifest_key_is_format_error_and_eval_exits_two(tmp_path, capsys,
+                                                                 build, keys):
+    path = tmp_path / "model.ckpt"
+    ckpt.save_model(path, build(), extra={"approach": "siamese-cnn", "margin": 1.0})
+    manifest, arrays = ckpt.read_checkpoint(path)
+    *outer, last = keys
+    section = manifest
+    for key in outer:
+        section = section[key]
+    del section[last]
+    ckpt.write_checkpoint(path, manifest, arrays)
+    with pytest.raises(FormatError, match=repr(last)):
+        ckpt.load_model(path)
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("a.pgm\tb.pgm\t1\n")
+    assert cli.main(["eval", "--checkpoint", str(path), "--pairs", str(pairs)]) == 2
+    assert repr(last) in capsys.readouterr().err
 
 
 def test_stack_round_trip_params_and_outputs(tmp_path):

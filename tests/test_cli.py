@@ -416,6 +416,22 @@ def test_augment_bad_config_key_exits_two(tmp_path, capsys):
     assert "volume" in capsys.readouterr().err
 
 
+NON_UTF8_CONFIG = b"[augment]\nmultiplier = 1\n# caf\xe9\n"
+
+
+@pytest.mark.parametrize("command", ["train", "augment"])
+@pytest.mark.parametrize("content", [None, NON_UTF8_CONFIG], ids=["missing", "non-utf8"])
+def test_unreadable_config_exits_two(tmp_path, capsys, command, content):
+    cfg = tmp_path / "bad.cfg"
+    if content is not None:
+        cfg.write_bytes(content)
+    args = [command, "--recipe", str(cfg), "--out", str(tmp_path / "o")]
+    if command == "augment":
+        args += ["--in", str(pgm_tree(tmp_path, n=1))]
+    assert cli.main(args) == 2
+    assert "error: cannot read" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # compare-merging / gen-synthetic
 # ---------------------------------------------------------------------------

@@ -66,6 +66,95 @@ class TestConv2d:
         assert L.conv2d(x, w, b, stride=2).shape == (1, 4, 3, 3)
 
 
+def conv2d_loop_reference(x, w, b, g, stride, pad):
+    """Forward and (dx, dw, db) of a cross-correlation, one output element
+    at a time, in float64; ``g`` is the upstream gradient of the output."""
+    x, w, b, g = (np.asarray(a, dtype=np.float64) for a in (x, w, b, g))
+    n, c, h, wd = x.shape
+    o, _, kh, kw = w.shape
+    sh, sw = stride
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    oh, ow = g.shape[2:]
+    y = np.zeros((n, o, oh, ow))
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(w)
+    for ni in range(n):
+        for oi in range(o):
+            for i in range(oh):
+                for j in range(ow):
+                    rows = slice(i * sh, i * sh + kh)
+                    cols = slice(j * sw, j * sw + kw)
+                    y[ni, oi, i, j] = np.sum(xp[ni, :, rows, cols] * w[oi]) + b[oi]
+                    dw[oi] += g[ni, oi, i, j] * xp[ni, :, rows, cols]
+                    dxp[ni, :, rows, cols] += g[ni, oi, i, j] * w[oi]
+    return y, dxp[:, :, pad : pad + h, pad : pad + wd], dw, g.sum(axis=(0, 2, 3))
+
+
+def _conv2d_with_grads(x, w, b, g, stride, pad, x_requires_grad=True):
+    xt = T.Tensor(x, requires_grad=x_requires_grad)
+    wt, bt = _conv_tensors(w, b)
+    with T.Tape():
+        y = L.conv2d(xt, wt, bt, stride=stride, padding=pad)
+        T.backward(T.tsum(T.mul(y, T.Tensor(g))))
+    return y.data, xt.grad, wt.grad, bt.grad
+
+
+def _assert_close_to_scale(got, want, rtol):
+    """Elementwise error bounded by ``rtol`` times the largest |want|."""
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+# (N, C, H, W), (O, kh, kw), stride, padding
+CONV_CASES = {
+    "3x3-s1-p0": ((2, 3, 7, 6), (4, 3, 3), (1, 1), 0),
+    "3x3-s2-p1": ((2, 2, 7, 8), (3, 3, 3), (2, 2), 1),
+    "2x3-s12-p0": ((2, 3, 6, 7), (2, 2, 3), (1, 2), 0),
+    "2x3-s12-p1-c1": ((3, 1, 5, 6), (2, 2, 3), (1, 2), 1),
+    "9x9-s2-p0-c1": ((2, 1, 12, 11), (3, 9, 9), (2, 2), 0),
+    "9x9-s1-p1": ((1, 2, 10, 9), (2, 9, 9), (1, 1), 1),
+}
+
+
+def _conv_case(case, dtype=np.float64):
+    """Random x, weights, bias and upstream gradient for a CONV_CASES entry."""
+    (n, c, h, w), (o, kh, kw), stride, pad = CONV_CASES[case]
+    oh = L._out_extent(h, kh, stride[0], pad)
+    ow = L._out_extent(w, kw, stride[1], pad)
+    rng = np.random.default_rng(11)
+    shapes = [(n, c, h, w), (o, c, kh, kw), (o,), (n, o, oh, ow)]
+    return [rng.normal(size=s).astype(dtype) for s in shapes], stride, pad
+
+
+class TestConv2dOracle:
+    @pytest.mark.parametrize("case", list(CONV_CASES))
+    @pytest.mark.parametrize("dtype,rtol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    def test_matches_loop_reference(self, case, dtype, rtol):
+        arrays, stride, pad = _conv_case(case, dtype)
+        got = _conv2d_with_grads(*arrays, stride, pad)
+        want = conv2d_loop_reference(*arrays, stride, pad)
+        for name, a, ref in zip(("y", "dx", "dw", "db"), got, want):
+            assert a.dtype == dtype, name
+            _assert_close_to_scale(a, ref, rtol)
+
+    @pytest.mark.parametrize("case", ["3x3-s2-p1", "9x9-s2-p0-c1"])
+    def test_input_without_grad_gets_none_and_same_param_grads(self, case):
+        (x, wts, b, g), stride, pad = _conv_case(case)
+        with T.Tape() as tape:
+            L.conv2d(T.Tensor(x), *_conv_tensors(wts, b), stride=stride, padding=pad)
+            (_, _, bwd), = tape._entries
+            dx, dw, db = bwd(g)
+        assert dx is None
+        y_ref, dx_ref, dw_ref, db_ref = _conv2d_with_grads(x, wts, b, g, stride, pad)
+        assert dx_ref is not None
+        np.testing.assert_array_equal(dw, dw_ref)
+        np.testing.assert_array_equal(db, db_ref)
+        y, x_grad, _, _ = _conv2d_with_grads(x, wts, b, g, stride, pad,
+                                             x_requires_grad=False)
+        assert x_grad is None
+        np.testing.assert_array_equal(y, y_ref)
+
+
 class TestMaxPool:
     def test_two_by_two(self):
         x = T.Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2))
@@ -106,6 +195,25 @@ class TestMaxPool:
         expected[0, 0, 1, 2] = 1.0
         expected[0, 0, 2, 1] = 1.0
         np.testing.assert_allclose(x.grad, expected)
+
+    def test_overlapping_windows_float32_match_loop(self):
+        rng = np.random.default_rng(13)
+        x = rng.permutation(2 * 3 * 7 * 8).astype(np.float32).reshape(2, 3, 7, 8)
+        g = rng.normal(size=(2, 3, 5, 3)).astype(np.float32)
+        xt = T.Tensor(x, requires_grad=True)
+        with T.Tape():
+            y = L.maxpool2d(xt, 3, stride=(1, 2))
+            T.backward(T.tsum(T.mul(y, T.Tensor(g))))
+        want = np.zeros(x.shape)
+        for idx in np.ndindex(*g.shape):
+            ni, ci, i, j = idx
+            win = x[ni, ci, i : i + 3, 2 * j : 2 * j + 3]
+            r, s = np.unravel_index(np.argmax(win), win.shape)
+            want[ni, ci, i + r, 2 * j + s] += g[idx]
+        assert y.data.dtype == np.float32
+        assert xt.grad.dtype == np.float32
+        assert np.count_nonzero(want) < np.count_nonzero(g)  # windows overlap
+        np.testing.assert_allclose(xt.grad, want, rtol=1e-6, atol=1e-6)
 
 
 class TestMergedCnn:
