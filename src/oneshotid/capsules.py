@@ -5,7 +5,9 @@ A capsule is a small vector whose length encodes confidence and whose
 direction encodes pose.  Primary capsules are carved out of conv feature
 maps; high-level capsules are computed by routing-by-agreement over
 per-capsule linear predictions.  Routing state is rebuilt from zeros on
-every forward pass and gradients flow through the unrolled iterations.
+every forward pass.  Routing is one tape op whose hand-written backward
+runs through the unrolled iterations; its softmax and squash are the same
+functions the rest of the network uses, applied to untracked tensors.
 """
 
 import numpy as np
@@ -30,8 +32,8 @@ def squash(g, axis=-1):
 class RoutingState:
     """Diagnostics from one routing run.
 
-    ``couplings`` is the final c_ij; ``coupling_history`` holds a plain
-    array snapshot per iteration so tests can watch agreement evolve.
+    ``coupling_history`` holds a [..., N_p, J] array of c_ij per iteration
+    so tests can watch agreement evolve; ``couplings`` is the last of them.
     """
 
     def __init__(self, couplings, iterations, coupling_history):
@@ -41,34 +43,69 @@ class RoutingState:
 
 
 def dynamic_route(u_hat, iterations=3):
-    """Routing-by-agreement over prediction vectors.
+    """Routing-by-agreement over prediction vectors, as one tape op.
 
     u_hat: [..., N_p, J, d].  Logits b start at zero; each iteration takes
     c = softmax over the J axis, forms weighted sums s_j = sum_i c_ij
     u_hat_ij, squashes to v_j, and adds the agreement u_hat_ij . v_j back
     onto b (skipped after the final iteration).  Returns (v, state) with
     v: [..., J, d].
+
+    Internally the leading dims are flattened to B and u_hat is copied once
+    to [B, J, N_p, d], so that s = c @ u and the agreement u @ v are batched
+    matrix products.  The op records one tape entry; its backward runs the
+    unrolled iterations in reverse from the c, s, ||s|| and v kept for each.
     """
     if iterations < 1:
         raise ConfigError(f"routing needs at least 1 iteration, got {iterations}")
     if u_hat.ndim < 3:
         raise ConfigError(f"u_hat must be [..., N_p, J, d], got shape {u_hat.shape}")
 
-    b = T.Tensor(np.zeros(u_hat.shape[:-1], dtype=u_hat.dtype))
+    lead = u_hat.shape[:-3]
+    n_p, n_j, d = u_hat.shape[-3:]
+    u = np.ascontiguousarray(u_hat.data.reshape(-1, n_p, n_j, d).transpose(0, 2, 1, 3))
+    b = np.zeros(u.shape[:-1], dtype=u.dtype)
+    saved = []
     history = []
-    v = None
-    c = None
     for it in range(iterations):
-        c = T.softmax(b, axis=-1)
-        history.append(np.array(c.data, copy=True))
-        cx = T.reshape(c, c.shape + (1,))
-        s = T.tsum(T.mul(cx, u_hat), axis=-3)
-        v = squash(s, axis=-1)
+        c = T.softmax(T.Tensor(b), axis=1).data
+        history.append(np.array(c.swapaxes(1, 2)).reshape(lead + (n_p, n_j)))
+        s = (c[:, :, None, :] @ u)[:, :, 0]
+        v = squash(T.Tensor(s)).data
+        n = np.sqrt((s * s).sum(axis=-1, keepdims=True))
+        saved.append((c, s, n, v))
         if it < iterations - 1:
-            vx = T.reshape(v, v.shape[:-2] + (1,) + v.shape[-2:])
-            agreement = T.tsum(T.mul(u_hat, vx), axis=-1)
-            b = T.add(b, agreement)
-    return v, RoutingState(c, iterations, history)
+            b += (u @ v[..., None])[..., 0]
+
+    def bwd(g):
+        # d loss / d u_hat_ij = sum over iterations of c_ij gs_j (through
+        # s) and gb_ij v_j (through the agreement), gathered as the columns
+        # and rows of one matrix product.
+        gv = g.reshape(v.shape)
+        gb = np.zeros_like(b)
+        cols, rows = [], []
+        for it in reversed(range(iterations)):
+            c, s, n, v_it = saved[it]
+            if it < iterations - 1:
+                # v_it reached the loss only through the agreement onto b
+                gv = (gb[:, :, None, :] @ u)[:, :, 0]
+                cols.append(gb)
+                rows.append(v_it)
+            # squash(s) = s * f(n) with f(n) = n / (1 + n^2); like l2norm,
+            # dn/ds divides by n + eps
+            q = 1.0 + n * n
+            df = (1.0 - n * n) / (q * q)
+            gs = gv * (n / q) + s * ((gv * s).sum(axis=-1, keepdims=True) * df / (n + T._EPS))
+            cols.append(c)
+            rows.append(gs)
+            if it:
+                gc = (u @ gs[..., None])[..., 0]
+                gb = gb + (gc - (gc * c).sum(axis=1, keepdims=True)) * c
+        gu = np.stack(cols, -1) @ np.stack(rows, -2)
+        return (gu.transpose(0, 2, 1, 3).reshape(u_hat.shape),)
+
+    out = T.from_op("dynamic_route", v.reshape(lead + (n_j, d)), (u_hat,), bwd)
+    return out, RoutingState(history[-1], iterations, history)
 
 
 def capsule_predict(u, w):
@@ -208,12 +245,15 @@ def build_capsnet(input_shape, n_classes, d_out=16, routing_iters=3,
 
 
 class Decoder:
-    """Dense stack reconstructing an image from one masked capsule vector."""
+    """Dense stack reconstructing an image from one masked capsule vector.
+
+    Hidden layers use leaky ReLU with the default slope 0.01, the output a
+    sigmoid; ``spec_fields`` is the whole architecture a checkpoint stores.
+    """
 
     spec_fields = ("n_classes", "d_out", "image_shape", "sizes")
 
-    def __init__(self, n_classes, d_out, image_shape, sizes=(512, 1024),
-                 leak=0.01, seed=0):
+    def __init__(self, n_classes, d_out, image_shape, sizes=(512, 1024), seed=0):
         self.n_classes = int(n_classes)
         self.d_out = int(d_out)
         self.image_shape = tuple(int(v) for v in image_shape)
@@ -222,7 +262,7 @@ class Decoder:
         layers = []
         for j, size in enumerate(sizes, start=1):
             layers += [Dense(feat, size, rng=derive_rng(seed, "decoder", j)),
-                       Activation("leaky_relu", alpha=leak)]
+                       Activation("leaky_relu")]
             feat = size
         layers += [Dense(feat, pixels, rng=derive_rng(seed, "decoder", "out")),
                    Activation("sigmoid")]

@@ -16,6 +16,7 @@ unknown, or whose keys differ from ``spec_fields``, is a FormatError.
 """
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -76,6 +77,26 @@ def _build_stack(spec, where):
     return L.LayerStack(layers, tuple(_field(spec, "input_shape", where)))
 
 
+def _param_spec(spec, where):
+    """(name, shape, dtype) of one manifest ``params`` entry, checked."""
+    if not isinstance(spec, dict):
+        raise FormatError(f"checkpoint {where} is not an object")
+    name = _field(spec, "name", where)
+    if not isinstance(name, str):
+        raise FormatError(f"checkpoint {where} has name {name!r}, not a string")
+    shape = _field(spec, "shape", where)
+    if not isinstance(shape, list) or not all(type(v) is int and v >= 0 for v in shape):
+        raise FormatError(f"checkpoint {where} ({name!r}) has shape {shape!r}, not a list of sizes")
+    dtype = _field(spec, "dtype", where)
+    try:
+        dtype = np.dtype(dtype) if isinstance(dtype, str) else None
+    except TypeError:
+        dtype = None
+    if dtype is None or dtype.kind not in "biuf":
+        raise FormatError(f"checkpoint {where} ({name!r}) has unknown dtype {spec['dtype']!r}")
+    return name, shape, dtype
+
+
 def write_checkpoint(path, manifest, named_arrays):
     """Low-level writer; ``named_arrays`` is a list of (name, ndarray)."""
     manifest = dict(manifest)
@@ -112,13 +133,13 @@ def read_checkpoint(path):
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise FormatError(f"{path}: bad manifest: {exc}") from exc
         arrays = []
-        for spec in manifest.get("params", []):
-            dtype = np.dtype(spec["dtype"])
-            count = int(np.prod(spec["shape"])) if spec["shape"] else 1
+        for k, spec in enumerate(manifest.get("params", [])):
+            name, shape, dtype = _param_spec(spec, f"{path} params[{k}]")
+            count = math.prod(shape)
             raw = f.read(count * dtype.itemsize)
             if len(raw) < count * dtype.itemsize:
-                raise FormatError(f"{path}: truncated buffer for {spec['name']}")
-            arrays.append((spec["name"], np.frombuffer(raw, dtype=dtype).reshape(spec["shape"])))
+                raise FormatError(f"{path}: truncated buffer for {name}")
+            arrays.append((name, np.frombuffer(raw, dtype=dtype).reshape(shape)))
         if f.read(1):
             raise FormatError(f"{path}: trailing bytes after parameter buffers")
     return manifest, arrays

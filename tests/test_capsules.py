@@ -23,6 +23,43 @@ def routing_oracle(u_hat, iters):
     return v
 
 
+def taped_route(u_hat, iterations):
+    """Routing composed from generic tape ops, as dynamic_route was before
+    it became one op: the reference for its values and gradients."""
+    b = T.Tensor(np.zeros(u_hat.shape[:-1], dtype=u_hat.dtype))
+    history = []
+    v = None
+    for it in range(iterations):
+        c = T.softmax(b, axis=-1)
+        history.append(np.array(c.data, copy=True))
+        cx = T.reshape(c, c.shape + (1,))
+        s = T.tsum(T.mul(cx, u_hat), axis=-3)
+        v = C.squash(s, axis=-1)
+        if it < iterations - 1:
+            vx = T.reshape(v, v.shape[:-2] + (1,) + v.shape[-2:])
+            agreement = T.tsum(T.mul(u_hat, vx), axis=-1)
+            b = T.add(b, agreement)
+    return v, history
+
+
+def fused_route(u_hat, iterations):
+    v, state = C.dynamic_route(u_hat, iterations)
+    return v, state.coupling_history
+
+
+def routed_with_grad(route, u, iterations, weights):
+    """v, coupling history and d sum(weights * v) / d u_hat of one call."""
+    ut = T.Tensor(u, requires_grad=True)
+    with T.Tape():
+        v, history = route(ut, iterations)
+        T.backward(T.tsum(T.mul(v, T.Tensor(weights))))
+    return v.data, history, ut.grad
+
+
+def rel_diff(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
 class TestSquash:
     def test_zero_vector(self):
         v = C.squash(T.Tensor(np.zeros(4)))
@@ -138,6 +175,57 @@ class TestDynamicRoute:
             return T.tsum(T.square(v))
 
         check_grads(f, [u], tol=1e-3)
+
+    @pytest.mark.parametrize("iters", [1, 4])
+    def test_gradients_batched(self, iters):
+        rng = np.random.default_rng(48)
+        u = rng.normal(size=(2, 4, 3, 2))
+        w = rng.normal(size=(2, 3, 2))
+
+        def f(t):
+            v, _ = C.dynamic_route(t, iters)
+            return T.tsum(T.mul(v, T.Tensor(w)))
+
+        check_grads(f, [u], tol=1e-3)
+
+    @pytest.mark.parametrize("iters", [1, 2, 3, 4])
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+    def test_matches_taped_composition(self, lead, iters):
+        rng = np.random.default_rng(61 + 10 * len(lead) + iters)
+        u = rng.normal(size=lead + (7, 4, 5))
+        w = rng.normal(size=lead + (4, 5))
+        v, history, grad = routed_with_grad(fused_route, u, iters, w)
+        v_ref, history_ref, grad_ref = routed_with_grad(taped_route, u, iters, w)
+        assert v.shape == v_ref.shape and grad.shape == u.shape
+        assert rel_diff(v, v_ref) < 1e-12
+        assert len(history) == iters
+        for c, c_ref in zip(history, history_ref):
+            assert c.shape == lead + (7, 4)
+            assert rel_diff(c, c_ref) < 1e-12
+        assert rel_diff(grad, grad_ref) < 1e-12
+
+    def test_final_couplings_are_last_history_entry(self):
+        u = T.Tensor(np.random.default_rng(67).normal(size=(2, 5, 3, 4)))
+        _, state = C.dynamic_route(u, 3)
+        assert isinstance(state.couplings, np.ndarray)
+        assert np.array_equal(state.couplings, state.coupling_history[-1])
+
+    def test_one_tape_entry_per_call(self):
+        u = T.Tensor(np.random.default_rng(71).normal(size=(2, 5, 3, 4)),
+                     requires_grad=True)
+        with T.Tape() as tape:
+            C.dynamic_route(u, 4)
+            assert len(tape) == 1
+
+    def test_float32_stays_float32(self):
+        u = T.Tensor(np.random.default_rng(73).normal(size=(2, 5, 3, 4)).astype(np.float32),
+                     requires_grad=True)
+        with T.Tape():
+            v, state = C.dynamic_route(u, 3)
+            T.backward(T.tsum(T.square(v)))
+        assert v.dtype == np.float32
+        assert u.grad.dtype == np.float32
+        assert all(c.dtype == np.float32 for c in state.coupling_history)
 
 
 def test_capsule_predict_values_and_grads():

@@ -1,4 +1,6 @@
 import hashlib
+import json
+import struct
 
 import numpy as np
 import pytest
@@ -139,6 +141,44 @@ def test_missing_manifest_key_is_format_error_and_eval_exits_two(tmp_path, capsy
     pairs.write_text("a.pgm\tb.pgm\t1\n")
     assert cli.main(["eval", "--checkpoint", str(path), "--pairs", str(pairs)]) == 2
     assert repr(last) in capsys.readouterr().err
+
+
+def rewrite_manifest(path, edit):
+    """Apply ``edit`` to the manifest of the checkpoint at ``path`` in place,
+    keeping its parameter bytes (write_checkpoint rebuilds ``params``)."""
+    raw = path.read_bytes()
+    (mlen,) = struct.unpack("<Q", raw[12:20])
+    manifest = json.loads(raw[20:20 + mlen])
+    edit(manifest)
+    blob = json.dumps(manifest).encode("utf-8")
+    path.write_bytes(raw[:12] + struct.pack("<Q", len(blob)) + blob + raw[20 + mlen:])
+
+
+BAD_PARAMS = {
+    "no-name": (lambda p: p.pop("name"), "'name'"),
+    "no-shape": (lambda p: p.pop("shape"), "'shape'"),
+    "no-dtype": (lambda p: p.pop("dtype"), "'dtype'"),
+    "shape-not-list": (lambda p: p.update(shape=12), "shape 12"),
+    "negative-size": (lambda p: p.update(shape=[-1, 2]), "not a list of sizes"),
+    "unknown-dtype": (lambda p: p.update(dtype="<q9"), "unknown dtype"),
+    "object-dtype": (lambda p: p.update(dtype="O"), "unknown dtype"),
+    "name-not-string": (lambda p: p.update(name=3), "not a string"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_PARAMS))
+def test_bad_params_entry_is_format_error_and_eval_exits_two(tmp_path, capsys, case):
+    edit, needle = BAD_PARAMS[case]
+    path = tmp_path / "model.ckpt"
+    ckpt.save_model(path, small_stack(), extra={"approach": "siamese-cnn", "margin": 1.0})
+    rewrite_manifest(path, lambda m: edit(m["params"][1]))
+    with pytest.raises(FormatError, match=r"params\[1\]") as info:
+        ckpt.read_checkpoint(path)
+    assert needle in str(info.value)
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("a.pgm\tb.pgm\t1\n")
+    assert cli.main(["eval", "--checkpoint", str(path), "--pairs", str(pairs)]) == 2
+    assert "params[1]" in capsys.readouterr().err
 
 
 def test_stack_round_trip_params_and_outputs(tmp_path):
