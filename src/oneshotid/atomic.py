@@ -1,0 +1,35 @@
+"""Artifact files that are either the old bytes or the complete new ones.
+
+Checkpoints, reports and manifests are written through ``atomic_open``: the
+bytes go to a temporary file next to the target, which then replaces the
+target in one ``os.replace``.  A run that fails or is interrupted while
+writing leaves the previous file as it was and no temporary file behind.
+"""
+
+import os
+import secrets
+from contextlib import contextmanager
+
+
+@contextmanager
+def atomic_open(path, mode="w", **kwargs):
+    """``open(path, mode, **kwargs)`` for writing, made atomic.
+
+    The file object writes to ``<path>.<random>.tmp`` in the same
+    directory, created with the permissions a plain ``open`` would give.
+    When the ``with`` block ends normally the temporary file replaces
+    ``path``; when it raises, the temporary file is removed and the
+    exception propagates.
+    """
+    tmp = f"{path}.{secrets.token_hex(4)}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, mode, **kwargs) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except FileNotFoundError:
+            pass
+        raise

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import capsules as caps
 from . import layers as L
+from .atomic import atomic_open
 from .errors import FormatError
 
 _MAGIC = b"OSIDCKPT"
@@ -105,7 +106,7 @@ def write_checkpoint(path, manifest, named_arrays):
         for name, arr in named_arrays
     ]
     blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
+    with atomic_open(path, "wb") as f:
         f.write(_MAGIC)
         f.write(struct.pack("<IQ", _VERSION, len(blob)))
         f.write(blob)

@@ -14,6 +14,11 @@ weights, so the forward and all three gradients are single matrix products
 and the input gradient is scattered back one contiguous tap block at a
 time.  The input gradient is computed only for inputs that require one;
 the first convolution of a tower, which sees raw images, skips it.
+
+``maxpool2d`` loops over the window taps, one strided slice of the input
+each: the forward is a running maximum of the slices, and the backward
+finds the winning tap of each output cell again by comparing the slices
+with the output in the same tap order, so no index array is ever built.
 """
 
 import math
@@ -98,29 +103,46 @@ def conv2d(x, weights, bias, stride=1, padding=0):
 
 
 def maxpool2d(x, window, stride=None):
-    """Max pooling over [N, C, H, W]; ties go to the first window element."""
+    """Max pooling over [N, C, H, W]; ties go to the first window element.
+
+    Each of the ph*pw window taps is one strided slice of ``x`` holding
+    that tap for every output cell.  The forward is a running
+    ``np.maximum`` over the taps in row-major order, and keeps no index
+    of the winners.  The backward finds them again from ``x`` and the
+    output: walking the taps in the same order, a tap wins the cells
+    where it equals the output and no earlier tap has won, and adds the
+    upstream gradient into its slice of ``dx`` there.  Within one tap the
+    output cells map to distinct input cells, so any window and stride
+    works, overlapping windows included.
+    """
     if x.ndim != 4:
         raise ShapeError(f"maxpool2d input must be [N,C,H,W], got {x.shape}")
     ph, pw = _pair(window)
     sh, sw = _pair(stride if stride is not None else (ph, pw))
-    n, c, h, w = x.shape
+    h, w = x.shape[2:]
     if ph > h or pw > w:
         raise ShapeError(f"pool window {ph}x{pw} does not fit input {h}x{w}")
     oh = (h - ph) // sh + 1
     ow = (w - pw) // sw + 1
 
-    win = sliding_window_view(x.data, (ph, pw), axis=(2, 3))[:, :, ::sh, ::sw]
-    flat = win.reshape(n, c, oh, ow, ph * pw)
-    idx = flat.argmax(axis=-1)
-    out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+    xd = x.data
+    taps = [(slice(None), slice(None),
+             slice(i, i + sh * (oh - 1) + 1, sh), slice(j, j + sw * (ow - 1) + 1, sw))
+            for i in range(ph) for j in range(pw)]
+    out = xd[taps[0]].copy()
+    for tap in taps[1:]:
+        # On a tie np.maximum returns its second argument, the earlier tap.
+        np.maximum(xd[tap], out, out=out)
 
     def bwd(g):
-        rows = idx // pw + (np.arange(oh) * sh)[None, None, :, None]
-        cols_ = idx % pw + (np.arange(ow) * sw)[None, None, None, :]
-        flat = ((np.arange(n)[:, None, None, None] * c + np.arange(c)[None, :, None, None])
-                * h + rows) * w + cols_
-        dx = np.bincount(flat.ravel(), weights=g.ravel(), minlength=x.size)
-        return (dx.reshape(x.shape).astype(x.dtype, copy=False),)
+        dx = np.zeros_like(xd)
+        free = np.ones(out.shape, dtype=bool)
+        for tap in taps:
+            won = xd[tap] == out
+            won &= free
+            free ^= won
+            dx[tap] += g * won
+        return (dx,)
 
     return T.from_op("maxpool2d", out, (x,), bwd)
 

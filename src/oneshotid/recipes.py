@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import checkpoint
+from .atomic import atomic_open
 from .augment import AugmentConfig, apply_params, draw_params
 from .capsules import build_capsnet
 from .datasets import (Dataset, SyntheticAnodeSpec, downscale_dataset,
@@ -348,7 +349,7 @@ def dataset_hash(dataset):
 
 
 def write_manifest(path, entries):
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_open(path, "w", encoding="utf-8", newline="\n") as f:
         for key, value in entries:
             f.write(f"{key}={value}\n")
 

@@ -275,15 +275,18 @@ def tlog(x):
 
 
 def relu(x):
+    """max(x, 0); -0.0 maps to +0.0 and NaN stays NaN (so it raises)."""
     x = _as_tensor(x)
     mask = x.data > 0  # subgradient at 0 is 0
-    return from_op("relu", np.where(mask, x.data, 0.0), (x,), lambda g: (g * mask,))
+    return from_op("relu", np.maximum(x.data, 0.0), (x,), lambda g: (g * mask,))
 
 
 def leaky_relu(x, alpha=0.01):
+    """x where x > 0, else alpha*x, taken as max(x, alpha*x) for alpha <= 1
+    and min(x, alpha*x) above; equal to the select, signed zeros included."""
     x = _as_tensor(x)
     mask = x.data > 0
-    data = np.where(mask, x.data, alpha * x.data)
+    data = (np.maximum if alpha <= 1 else np.minimum)(x.data, alpha * x.data)
     return from_op("leaky_relu", data, (x,), lambda g: (np.where(mask, g, alpha * g),))
 
 

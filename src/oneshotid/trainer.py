@@ -25,6 +25,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import tensor as T
+from .atomic import atomic_open
 from .datasets import kfold_split
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .losses import contrastive_loss, cross_entropy, reconstruction_loss
@@ -107,7 +108,7 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as f:
+        with atomic_open(path, "w", newline="") as f:
             f.write(self.csv_text())
 
     def summary_text(self):
@@ -127,7 +128,7 @@ class RunReport:
         return "".join(f"{k}={v}\n" for k, v in items.items())
 
     def write_summary(self, path):
-        with open(path, "w", newline="") as f:
+        with atomic_open(path, "w", newline="") as f:
             f.write(self.summary_text())
 
 

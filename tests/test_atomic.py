@@ -1,0 +1,87 @@
+import errno
+import os
+
+import numpy as np
+import pytest
+
+from oneshotid import atomic
+from oneshotid import checkpoint as ckpt
+from oneshotid import recipes
+from oneshotid import trainer as tr
+from oneshotid.atomic import atomic_open
+
+
+class _DiskFull:
+    """File wrapper whose first write puts down half of its bytes, then
+    fails the way a full disk does."""
+
+    def __init__(self, f):
+        self._f = f
+
+    def write(self, data):
+        self._f.write(data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._f.close()
+        return False
+
+
+def _report():
+    return tr.RunReport(train_loss=[0.5, 0.25], train_acc=[0.5, 0.75], val_loss=[0.5, 0.5],
+                        val_acc=[0.5, 0.5], wall_time=1.0, seed=3, config={"lr": 0.001})
+
+
+WRITERS = {
+    "checkpoint": lambda p: ckpt.write_checkpoint(p, {"model": "x"}, [("w", np.ones((3, 2)))]),
+    "csv": lambda p: _report().write_csv(p),
+    "summary": lambda p: _report().write_summary(p),
+    "manifest": lambda p: recipes.write_manifest(p, [("a", 1), ("b", 2)]),
+}
+
+
+@pytest.mark.parametrize("name", list(WRITERS))
+def test_failed_write_keeps_previous_file_and_leaves_no_temp(tmp_path, monkeypatch, name):
+    path = tmp_path / "artifact"
+    path.write_bytes(b"previous artifact\n")
+    real_open = open
+    monkeypatch.setattr(atomic, "open",
+                        lambda *a, **k: _DiskFull(real_open(*a, **k)), raising=False)
+    with pytest.raises(OSError) as info:
+        WRITERS[name](path)
+    assert info.value.errno == errno.ENOSPC
+    assert path.read_bytes() == b"previous artifact\n"
+    assert os.listdir(tmp_path) == ["artifact"]
+
+
+@pytest.mark.parametrize("name", list(WRITERS))
+def test_successful_write_replaces_file_and_leaves_no_temp(tmp_path, name):
+    path = tmp_path / "artifact"
+    path.write_bytes(b"previous artifact\n")
+    WRITERS[name](path)
+    assert path.read_bytes() != b"previous artifact\n"
+    assert os.listdir(tmp_path) == ["artifact"]
+
+
+def test_interrupt_mid_write_keeps_previous_file(tmp_path):
+    path = tmp_path / "artifact"
+    path.write_bytes(b"previous")
+    with pytest.raises(KeyboardInterrupt):
+        with atomic_open(path, "wb") as f:
+            f.write(b"half of the new")
+            raise KeyboardInterrupt
+    assert path.read_bytes() == b"previous"
+    assert os.listdir(tmp_path) == ["artifact"]
+
+
+def test_new_file_gets_plain_open_permissions(tmp_path):
+    plain, atomic_path = tmp_path / "plain", tmp_path / "atomic"
+    with open(plain, "w") as f:
+        f.write("x")
+    with atomic_open(atomic_path, "w") as f:
+        f.write("x")
+    assert os.stat(atomic_path).st_mode == os.stat(plain).st_mode
+    assert atomic_path.read_text() == "x"

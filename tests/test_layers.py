@@ -215,6 +215,56 @@ class TestMaxPool:
         assert np.count_nonzero(want) < np.count_nonzero(g)  # windows overlap
         np.testing.assert_allclose(xt.grad, want, rtol=1e-6, atol=1e-6)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("window, stride, channels", [
+        ((2, 2), (2, 2), 1),
+        ((2, 2), (2, 2), 3),
+        ((3, 3), (3, 3), 2),
+        ((2, 3), (2, 3), 2),
+        ((2, 2), (1, 1), 2),   # overlapping
+        ((3, 3), (2, 1), 1),   # overlapping
+        ((2, 3), (1, 2), 3),   # overlapping
+        ((2, 2), (3, 3), 2),   # gaps between windows
+        ((2, 3), (4, 3), 1),   # gaps between rows of windows
+    ])
+    def test_matches_loop_reference(self, window, stride, channels, dtype):
+        ph, pw = window
+        sh, sw = stride
+        rng = np.random.default_rng(17)
+        # ReLU'd normals tie at zero in many windows; constant blocks tie
+        # everywhere inside them.
+        x = np.maximum(rng.normal(size=(2, channels, 11, 13)), 0.0)
+        x[0, 0, 1:6, 2:9] = 0.75
+        x[-1, -1, 4:10, 5:12] = 0.0
+        x = x.astype(dtype)
+        oh, ow = (11 - ph) // sh + 1, (13 - pw) // sw + 1
+        g = rng.normal(size=(2, channels, oh, ow)).astype(dtype)
+
+        want_y = np.zeros(g.shape, dtype)
+        want_dx = np.zeros(x.shape, dtype)
+        for ni, ci, i, j in np.ndindex(*g.shape):
+            win = x[ni, ci, i * sh : i * sh + ph, j * sw : j * sw + pw]
+            best = (0, 0)
+            for r in range(ph):
+                for s in range(pw):
+                    if win[r, s] > win[best]:
+                        best = (r, s)
+            want_y[ni, ci, i, j] = win[best]
+            want_dx[ni, ci, i * sh + best[0], j * sw + best[1]] += g[ni, ci, i, j]
+
+        xt = T.Tensor(x, requires_grad=True)
+        with T.Tape():
+            y = L.maxpool2d(xt, window, stride=stride)
+            T.backward(T.tsum(T.mul(y, T.Tensor(g))))
+        assert y.data.dtype == dtype
+        assert xt.grad.dtype == dtype
+        np.testing.assert_array_equal(y.data, want_y)
+        if sh >= ph and sw >= pw:
+            np.testing.assert_array_equal(xt.grad, want_dx)
+        else:
+            tol = 1e-12 if dtype == np.float64 else 1e-5
+            np.testing.assert_allclose(xt.grad, want_dx, rtol=tol, atol=tol)
+
 
 class TestMergedCnn:
     def test_output_shape(self):

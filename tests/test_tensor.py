@@ -33,6 +33,42 @@ def test_relu_at_exactly_zero_has_zero_grad():
     np.testing.assert_allclose(x.grad, [0.0])
 
 
+def _signed_zero_inputs(n, dtype):
+    """Normals with +0.0 and -0.0 mixed in, at a size that exercises both
+    the vectorised and the scalar tail loops of an elementwise kernel."""
+    x = np.random.default_rng(n).normal(size=n)
+    x[::3] = -0.0
+    x[1::4] = 0.0
+    return x.astype(dtype)
+
+
+def _assert_bit_identical(got, want):
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("n", [1, 7, 1001])
+def test_relu_matches_select_bit_for_bit(n, dtype):
+    x = _signed_zero_inputs(n, dtype)
+    _assert_bit_identical(T.relu(T.Tensor(x)).data, np.where(x > 0, x, 0.0))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("n", [1, 7, 1001])
+@pytest.mark.parametrize("alpha", [0.01, 0.0, -0.2, 1.5])
+def test_leaky_relu_matches_select_bit_for_bit(alpha, n, dtype):
+    x = _signed_zero_inputs(n, dtype)
+    want = np.where(x > 0, x, alpha * x)
+    _assert_bit_identical(T.leaky_relu(T.Tensor(x), alpha).data, want)
+
+
+def test_relu_of_nan_raises():
+    with pytest.raises(NumericError):
+        T.relu(T.Tensor([1.0, np.nan]))
+
+
 def test_elementwise_scalar_broadcast_allowed():
     y = T.mul(T.Tensor([1.0, 2.0]), T.Tensor(3.0))
     np.testing.assert_allclose(y.data, [3.0, 6.0])
