@@ -12,6 +12,7 @@ import math
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
+from .atomic import atomic_open
 from .errors import ConfigError
 from .rng import derive_rng
 
@@ -184,7 +185,7 @@ def apply_params(img, params, config):
 
 def write_sidecar(path, mapping):
     """Record the drawn parameters as sorted key=value lines."""
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_open(path, "w", encoding="utf-8", newline="\n") as f:
         for key in sorted(mapping):
             f.write(f"{key}={mapping[key]}\n")
 

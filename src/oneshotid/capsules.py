@@ -36,9 +36,8 @@ class RoutingState:
     so tests can watch agreement evolve; ``couplings`` is the last of them.
     """
 
-    def __init__(self, couplings, iterations, coupling_history):
+    def __init__(self, couplings, coupling_history):
         self.couplings = couplings
-        self.iterations = iterations
         self.coupling_history = coupling_history
 
 
@@ -105,7 +104,7 @@ def dynamic_route(u_hat, iterations=3):
         return (gu.transpose(0, 2, 1, 3).reshape(u_hat.shape),)
 
     out = T.from_op("dynamic_route", v.reshape(lead + (n_j, d)), (u_hat,), bwd)
-    return out, RoutingState(history[-1], iterations, history)
+    return out, RoutingState(history[-1], history)
 
 
 def capsule_predict(u, w):
@@ -212,9 +211,9 @@ def capsule_scores(v):
 
 def build_capsnet(input_shape, n_classes, d_out=16, routing_iters=3,
                   conv_channels=(256, 256), kernels=(9, 9), strides=(1, 2),
-                  n_p=8, leak=0.01, seed=0):
-    """Capsule classifier: two leaky-ReLU convs, primary capsules, routed
-    high-level capsules.
+                  n_p=8, seed=0):
+    """Capsule classifier: two leaky-ReLU convs (slope 0.01), primary
+    capsules, routed high-level capsules.
 
     ``input_shape`` is (H, W, C).  Output is [n_classes, d_out] capsule
     vectors; class score for j is the norm of capsule j.  The flattened
@@ -228,11 +227,11 @@ def build_capsnet(input_shape, n_classes, d_out=16, routing_iters=3,
     shape = (c, h, w)
     conv1 = Conv2d(c, c1, kernel=kernels[0], stride=strides[0],
                    rng=derive_rng(seed, "capsnet", "conv", 1))
-    layers += [conv1, Activation("leaky_relu", alpha=leak)]
+    layers += [conv1, Activation("leaky_relu")]
     shape = conv1.out_shape(shape)
     conv2 = Conv2d(c1, c2, kernel=kernels[1], stride=strides[1],
                    rng=derive_rng(seed, "capsnet", "conv", 2))
-    layers += [conv2, Activation("leaky_relu", alpha=leak)]
+    layers += [conv2, Activation("leaky_relu")]
     shape = conv2.out_shape(shape)
     primary = PrimaryCapsuleLayer(n_p)
     layers.append(primary)

@@ -13,12 +13,13 @@ import struct
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
+from .atomic import atomic_open
 from .errors import ConfigError, DataError, FormatError
 from .rng import derive_rng
 
 
 class Dataset:
-    """Images plus class ids, with optional per-image source paths.
+    """Images plus class ids.
 
     ``images`` is one array indexed on the first axis, so every image
     shares a shape by construction.  ``class_ids`` are the identity labels
@@ -26,7 +27,7 @@ class Dataset:
     instance) live in ``metadata``.
     """
 
-    def __init__(self, images, class_ids, source="", paths=None, metadata=None):
+    def __init__(self, images, class_ids, source="", metadata=None):
         if not isinstance(images, np.ndarray):
             images = np.stack([np.asarray(im) for im in images]) if len(images) else np.zeros((0,))
         self.images = images
@@ -36,9 +37,6 @@ class Dataset:
                 f"{len(self.images)} images but {len(self.class_ids)} class ids"
             )
         self.source = source
-        self.paths = list(paths) if paths is not None else None
-        if self.paths is not None and len(self.paths) != len(self.images):
-            raise DataError(f"{len(self.paths)} paths for {len(self.images)} images")
         self.metadata = dict(metadata) if metadata else {}
 
     def __len__(self):
@@ -62,7 +60,6 @@ class Dataset:
             self.images[indices],
             self.class_ids[indices],
             source=self.source,
-            paths=[self.paths[i] for i in indices] if self.paths is not None else None,
             metadata=meta,
         )
 
@@ -139,7 +136,14 @@ def _find_matrix_file(dir_, split, kind):
     return os.path.join(dir_, hits[0])
 
 
-def _load_stereo_split(dir_, split, expected_examples, pair_semantics):
+def load_smallnorb_split(dir_, split, expected_examples=24300):
+    """Load one split ("training" or "testing") of the stereo toy dataset.
+
+    Each example is a [96, 96, 2] camera pair in [0, 1] (float32: a full
+    split is large).  Class ids label each physical toy (category and
+    instance combined).  ``expected_examples`` is checked; pass None to
+    accept reduced fixture files.
+    """
     dat = read_matrix(_find_matrix_file(dir_, split, "dat"))
     cat = read_matrix(_find_matrix_file(dir_, split, "cat"))
     info = read_matrix(_find_matrix_file(dir_, split, "info"))
@@ -167,33 +171,19 @@ def _load_stereo_split(dir_, split, expected_examples, pair_semantics):
 
     categories = cat.astype(np.int64)
     instances = info[:, 0].astype(np.int64)
-    if pair_semantics == "instance":
-        class_ids = categories * (int(instances.max(initial=0)) + 1) + instances
-    elif pair_semantics == "category":
-        class_ids = categories
-    else:
-        raise ConfigError(f"pair_semantics must be 'instance' or 'category', got {pair_semantics!r}")
+    class_ids = categories * (int(instances.max(initial=0)) + 1) + instances
     return Dataset(
         images,
         class_ids,
         source=f"stereo-{split}",
-        metadata={"categories": categories, "instances": instances,
-                  "pair_semantics": pair_semantics},
+        metadata={"categories": categories, "instances": instances},
     )
 
 
-def load_smallnorb(dir_, expected_examples=24300, pair_semantics="instance"):
-    """Load both halves of the stereo toy dataset from its matrix files.
-
-    Each example is a [96, 96, 2] camera pair in [0, 1] (float32: the two
-    full splits are large).  Class ids follow ``pair_semantics``:
-    "instance" labels each physical toy (category and instance combined),
-    "category" labels only the 5 coarse categories.  ``expected_examples``
-    is checked per split; pass None to accept reduced fixture files.
-    """
-    train = _load_stereo_split(dir_, "training", expected_examples, pair_semantics)
-    test = _load_stereo_split(dir_, "testing", expected_examples, pair_semantics)
-    return train, test
+def load_smallnorb(dir_, expected_examples=24300):
+    """Load the (training, testing) splits; see ``load_smallnorb_split``."""
+    return (load_smallnorb_split(dir_, "training", expected_examples),
+            load_smallnorb_split(dir_, "testing", expected_examples))
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +248,7 @@ def write_pgm(path, image, maxval=255):
         raise FormatError(f"maxval {maxval} out of range")
     q = np.rint(np.clip(img, 0.0, 1.0) * maxval)
     q = q.astype(">u2" if maxval > 255 else "u1")
-    with open(path, "wb") as f:
+    with atomic_open(path, "wb") as f:
         f.write(f"P5\n{img.shape[1]} {img.shape[0]}\n{maxval}\n".encode())
         f.write(q.tobytes())
 
@@ -266,9 +256,8 @@ def write_pgm(path, image, maxval=255):
 def load_pgm_faces(dir_):
     """Load a face tree laid out as ``s<class>/<index>.pgm``.
 
-    Returns one Dataset with class ids taken from the directory numbers
-    and per-image source paths kept for pair manifests.  All images must
-    share dimensions.
+    Returns one Dataset with class ids taken from the directory numbers.
+    All images must share dimensions.
     """
     class_dirs = []
     for name in os.listdir(dir_):
@@ -279,21 +268,19 @@ def load_pgm_faces(dir_):
         raise DataError(f"{dir_}: no s<class> directories found")
     class_dirs.sort()
 
-    images, class_ids, paths = [], [], []
+    images, class_ids = [], []
     for cls, full in class_dirs:
         files = [n for n in os.listdir(full) if n.endswith(".pgm")]
         if not files:
             raise DataError(f"{full}: class directory holds no .pgm files")
         files.sort(key=lambda n: (len(n), n))
         for name in files:
-            p = os.path.join(full, name)
-            images.append(read_pgm(p))
+            images.append(read_pgm(os.path.join(full, name)))
             class_ids.append(cls)
-            paths.append(p)
     shapes = {im.shape for im in images}
     if len(shapes) != 1:
         raise DataError(f"{dir_}: ragged image dimensions {sorted(shapes)}")
-    return Dataset(np.stack(images), class_ids, source=dir_, paths=paths)
+    return Dataset(np.stack(images), class_ids, source=dir_)
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +413,6 @@ def downscale_dataset(dataset, factor):
         downscale(dataset.images, factor),
         dataset.class_ids,
         source=dataset.source,
-        paths=dataset.paths,
         metadata=dataset.metadata,
     )
     return out

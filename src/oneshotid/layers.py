@@ -333,9 +333,6 @@ class LayerStack:
     def params(self):
         return [p for _, p in self.named_params()]
 
-    def count_params(self):
-        return sum(p.size for p in self.params())
-
 
 def _hwc(input_shape):
     if len(input_shape) != 3:
@@ -373,19 +370,19 @@ def _conv_tower(input_shape, channels, pool_after, dense_sizes, seed, scope):
     return LayerStack(layers, (c, h, w))
 
 
-def build_merged_cnn(input_shape, seed=0, pool_after=(2, 4)):
+def build_merged_cnn(input_shape, seed=0):
     """Classifier tower for merged image pairs.
 
     Four 3x3 stride-1 ReLU convolutions with 32, 32, 64, 64 feature maps,
-    max pooling after the second and fourth (configurable), then dense
+    max pooling after the second and fourth, then dense
     layers of 128 and 2; the final two units are same/different logits.
     ``input_shape`` is (H, W, C) of the merged image.
     """
-    return _conv_tower(input_shape, (32, 32, 64, 64), tuple(pool_after), (128, 2),
+    return _conv_tower(input_shape, (32, 32, 64, 64), (2, 4), (128, 2),
                        seed, "merged_cnn")
 
 
-def build_siamese_tower(input_shape, seed=0, pool_after=(1, 2)):
+def build_siamese_tower(input_shape, seed=0):
     """Embedding tower shared by both branches of the distance network.
 
     Three 3x3 stride-1 ReLU convolutions with 4, 8, 8 feature maps, max
@@ -394,5 +391,5 @@ def build_siamese_tower(input_shape, seed=0, pool_after=(1, 2)):
     distance lives in an unconstrained space.  ``input_shape`` is
     (H, W, C) with a single channel in normal use.
     """
-    return _conv_tower(input_shape, (4, 8, 8), tuple(pool_after), (500, 500, 5),
+    return _conv_tower(input_shape, (4, 8, 8), (1, 2), (500, 500, 5),
                        seed, "siamese_tower")

@@ -1,4 +1,4 @@
-"""Image-pair construction: grayscale conversion, merging, pair sampling.
+"""Image-pair construction: merging, pair sampling and pair manifests.
 
 Pairs drive both verification models: the merged-image classifier sees a
 single merged tensor per pair, while the distance model sees the two
@@ -13,8 +13,6 @@ import numpy as np
 from .errors import ConfigError, DataError, FormatError, ShapeError
 from .rng import derive_rng
 
-_LUMA = np.array([0.299, 0.587, 0.114])
-
 
 @dataclass
 class PairSample:
@@ -27,30 +25,12 @@ class PairSample:
     index_b: int = -1
 
 
-@dataclass
-class MergedImage:
-    data: np.ndarray
-    mode: str
-
-
-def to_grayscale(img):
-    """Collapse an RGB image to luminance; grayscale passes through."""
-    img = np.asarray(img)
-    if img.ndim == 2:
-        return img
-    if img.ndim == 3 and img.shape[2] == 1:
-        return img[:, :, 0]
-    if img.ndim == 3 and img.shape[2] == 3:
-        return img @ _LUMA
-    raise ShapeError(f"expected [H,W], [H,W,1] or [H,W,3], got {img.shape}")
-
-
 def merge(a, b, mode):
     """Combine two equal-shape images into one.
 
     stacked: channels-last stack, a first ([H,W] inputs give [H,W,2];
     [H,W,C] inputs give [H,W,2C]).  h-join: side by side, a on the left
-    [H,2W].  v-join: a above b, [2H,W].
+    [H,2W].
     """
     a = np.asarray(a)
     b = np.asarray(b)
@@ -67,13 +47,9 @@ def merge(a, b, mode):
         if a.ndim != 2:
             raise ShapeError(f"h-join needs [H,W] images, got {a.shape}")
         data = np.concatenate([a, b], axis=1)
-    elif mode == "v-join":
-        if a.ndim != 2:
-            raise ShapeError(f"v-join needs [H,W] images, got {a.shape}")
-        data = np.concatenate([a, b], axis=0)
     else:
         raise ConfigError(f"unknown merge mode {mode!r}")
-    return MergedImage(data, mode)
+    return data
 
 
 def sample_pairs(dataset, n_pairs, balance=0.5, rng_seed=0):
@@ -140,27 +116,20 @@ def class_subset(dataset, classes):
     return dataset.subset(np.flatnonzero(mask))
 
 
-def write_pair_manifest(path, pairs, dataset):
-    """Record sampled pairs as `<path_a>\\t<path_b>\\t<label>` lines."""
-    if dataset.paths is None:
-        raise DataError("dataset carries no source paths; nothing to reference")
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for p in pairs:
-            if p.index_a < 0 or p.index_b < 0:
-                raise DataError("pair lacks source indices; cannot write manifest")
-            f.write(f"{dataset.paths[p.index_a]}\t{dataset.paths[p.index_b]}\t{p.y}\n")
-
-
 def read_pair_manifest(path):
-    """Parse a pair manifest back to (path_a, path_b, label) tuples."""
+    """Parse a UTF-8 manifest of `<path_a>\\t<path_b>\\t<label>` lines to
+    (path_a, path_b, label) tuples."""
     out = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3 or parts[2] not in ("0", "1"):
-                raise FormatError(f"{path}:{lineno}: bad manifest line {line!r}")
-            out.append((parts[0], parts[1], int(parts[2])))
+    try:
+        with open(path, encoding="utf-8") as f:
+            for lineno, line in enumerate(f, start=1):
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                parts = line.split("\t")
+                if len(parts) != 3 or parts[2] not in ("0", "1"):
+                    raise FormatError(f"{path}:{lineno}: bad manifest line {line!r}")
+                out.append((parts[0], parts[1], int(parts[2])))
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     return out

@@ -20,7 +20,7 @@ from .augment import AugmentConfig, apply_params, draw_params
 from .capsules import build_capsnet
 from .datasets import (Dataset, SyntheticAnodeSpec, downscale_dataset,
                        generate_synthetic_anodes, kfold_split, load_pgm_faces,
-                       load_smallnorb)
+                       load_smallnorb_split)
 from .errors import ConfigError
 from .layers import build_merged_cnn, build_siamese_tower
 from .pairing import class_subset, holdout_split, merge, sample_pairs
@@ -32,7 +32,7 @@ from .trainer import (DistancePairModel, MergedPairModel, TrainConfig,
 APPROACHES = ("merged", "siamese-cnn", "siamese-capsnet")
 DATASETS = ("smallnorb", "att-faces", "synthetic-anodes")
 PROTOCOLS = ("kfold", "holdout")
-MERGE_MODES = ("stacked", "h-join", "v-join")
+MERGE_MODES = ("stacked", "h-join")
 
 
 @dataclass
@@ -240,8 +240,7 @@ def load_recipe_dataset(recipe, data_dir):
             raise ConfigError("dataset smallnorb needs --data-dir (or ONESHOT_DATA_DIR)")
         # expected_examples=None so reduced fixture files load too; strict
         # full-size checking stays available on the loader itself.
-        train_ds, _ = load_smallnorb(data_dir, expected_examples=None)
-        ds = train_ds
+        ds = load_smallnorb_split(data_dir, "training", expected_examples=None)
     if recipe.downscale > 1:
         ds = downscale_dataset(ds, recipe.downscale)
     return ds
@@ -254,7 +253,7 @@ def _tower_input_shape(images):
 
 def _merged_input_shape(recipe, dataset):
     a = dataset.images[0]
-    m = merge(a, a, recipe.merge_mode).data
+    m = merge(a, a, recipe.merge_mode)
     return (m.shape[0], m.shape[1], 1) if m.ndim == 2 else tuple(m.shape)
 
 

@@ -4,14 +4,12 @@ A forward pass runs inside a ``Tape`` context; every operation that touches
 a tensor with ``requires_grad=True`` appends one entry to the active tape.
 ``backward(loss)`` replays the tape once in reverse and accumulates
 gradients into the leaves.  Tapes are explicit and per-forward-pass: there
-is no global graph, and a tape together with its tensors is meant to be
-used by one worker at a time.
+is no global graph.  The stack of open tapes is module state, used from
+one thread.
 
 Every op validates that finite inputs produced finite outputs and raises
 ``NumericError`` otherwise; NaN/Inf never propagates silently.
 """
-
-import threading
 
 import numpy as np
 
@@ -19,21 +17,12 @@ from .errors import NumericError, ShapeError, TapeError
 
 _EPS = 1e-8
 
-_state = threading.local()
-
-
-def _tape_stack():
-    stack = getattr(_state, "tapes", None)
-    if stack is None:
-        stack = []
-        _state.tapes = stack
-    return stack
+_tapes = []
 
 
 def active_tape():
-    """The innermost open Tape of the current thread, or None."""
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+    """The innermost open Tape, or None."""
+    return _tapes[-1] if _tapes else None
 
 
 class Tape:
@@ -49,13 +38,12 @@ class Tape:
         self._closed = False
 
     def __enter__(self):
-        _tape_stack().append(self)
+        _tapes.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        stack = _tape_stack()
-        assert stack and stack[-1] is self, "tape stack corrupted"
-        stack.pop()
+        assert _tapes and _tapes[-1] is self, "tape stack corrupted"
+        _tapes.pop()
         # Drop the recorded graph here rather than waiting for the cycle
         # collector: entries hold the tensors and the tensors hold the tape,
         # so a big forward pass would otherwise linger until a gc run.
@@ -241,37 +229,10 @@ def div(a, b):
     return from_op("div", data, (a, b), bwd)
 
 
-def neg(x):
-    x = _as_tensor(x)
-    return from_op("neg", -x.data, (x,), lambda g: (-g,))
-
-
 def square(x):
     x = _as_tensor(x)
     xd = x.data
     return from_op("square", xd * xd, (x,), lambda g: (2.0 * xd * g,))
-
-
-def sqrt(x):
-    x = _as_tensor(x)
-    y = np.sqrt(x.data)
-
-    def bwd(g):
-        return (g / (2.0 * y + _EPS),)
-
-    return from_op("sqrt", y, (x,), bwd)
-
-
-def texp(x):
-    x = _as_tensor(x)
-    y = np.exp(x.data)
-    return from_op("exp", y, (x,), lambda g: (g * y,))
-
-
-def tlog(x):
-    x = _as_tensor(x)
-    xd = x.data
-    return from_op("log", np.log(xd), (x,), lambda g: (g / xd,))
 
 
 def relu(x):

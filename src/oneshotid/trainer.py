@@ -207,7 +207,7 @@ class MergedPairModel:
         return self.stack.params()
 
     def batch_stats(self, pairs, dtype):
-        imgs = [_chw(merge(p.a, p.b, self.merge_mode).data) for p in pairs]
+        imgs = [_chw(merge(p.a, p.b, self.merge_mode)) for p in pairs]
         x = np.stack(imgs).astype(dtype, copy=False)
         y = np.array([p.y for p in pairs], dtype=np.int64)
         logits = self.stack(Tensor(x, requires_grad=False))
@@ -498,12 +498,7 @@ def crossvalidate(fold_runner, dataset, k, config):
                 exc.add_note(f"in fold {fold}")
             raise
         reports.append(report)
-    accs = []
-    for fold, report in enumerate(reports):
-        acc = report.test_accuracy
-        if acc is None:
-            acc = report.val_acc[-1]
-        accs.append(float(acc))
+    accs = [float(report.test_accuracy) for report in reports]
     summary = {
         "mean": float(np.mean(accs)),
         "std": float(np.std(accs)),

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from oneshotid import atomic
+from oneshotid import augment
 from oneshotid import checkpoint as ckpt
+from oneshotid import datasets
 from oneshotid import recipes
 from oneshotid import trainer as tr
 from oneshotid.atomic import atomic_open
@@ -40,6 +42,8 @@ WRITERS = {
     "csv": lambda p: _report().write_csv(p),
     "summary": lambda p: _report().write_summary(p),
     "manifest": lambda p: recipes.write_manifest(p, [("a", 1), ("b", 2)]),
+    "pgm": lambda p: datasets.write_pgm(p, np.full((4, 3), 0.5)),
+    "sidecar": lambda p: augment.write_sidecar(p, {"angle": 12.5, "seed": 7}),
 }
 
 

@@ -199,6 +199,15 @@ def test_eval_empty_manifest_exits_two(tmp_path, capsys):
     assert "empty" in capsys.readouterr().err
 
 
+def test_eval_non_utf8_manifest_exits_two_naming_the_file(tmp_path, capsys):
+    images, ckpt = oracle_setup(tmp_path)
+    manifest = tmp_path / "bad.tsv"
+    manifest.write_bytes(f"{images['a0']}\t{images['a1']}\t1\n".encode() + b"\xff\t\xfe\t0\n")
+    assert cli.main(["eval", "--checkpoint", ckpt, "--pairs", str(manifest)]) == 2
+    err = capsys.readouterr().err
+    assert str(manifest) in err and "UTF-8" in err
+
+
 def test_eval_checkpoint_without_metadata_exits_two(tmp_path, capsys):
     images = flat_images(tmp_path)
     ckpt = tmp_path / "bare.ckpt"

@@ -6,77 +6,47 @@ from oneshotid.datasets import Dataset
 from oneshotid.errors import ConfigError, DataError, FormatError, ShapeError
 
 
-def test_grayscale_white_is_one():
-    img = np.ones((2, 2, 3))
-    np.testing.assert_allclose(P.to_grayscale(img), np.ones((2, 2)))
-
-
-def test_grayscale_red_weight():
-    img = np.zeros((1, 1, 3))
-    img[0, 0, 0] = 1.0
-    np.testing.assert_allclose(P.to_grayscale(img), [[0.299]])
-
-
-def test_grayscale_passthrough():
-    img = np.random.default_rng(0).uniform(size=(3, 4))
-    out = P.to_grayscale(img)
-    assert np.array_equal(out, img)
-
-
-def test_grayscale_rejects_two_channels():
-    with pytest.raises(ShapeError):
-        P.to_grayscale(np.zeros((2, 2, 2)))
-
-
 class TestMerge:
     def test_stacked_shape(self):
         a = np.zeros((96, 96))
         m = P.merge(a, a, "stacked")
-        assert m.data.shape == (96, 96, 2)
-        assert m.mode == "stacked"
+        assert m.shape == (96, 96, 2)
 
     def test_stacked_is_lossless(self):
         rng = np.random.default_rng(1)
         a, b = rng.uniform(size=(2, 5, 7))
         m = P.merge(a, b, "stacked")
-        assert np.array_equal(m.data[:, :, 0], a)
-        assert np.array_equal(m.data[:, :, 1], b)
+        assert np.array_equal(m[:, :, 0], a)
+        assert np.array_equal(m[:, :, 1], b)
 
     def test_stacked_identity_pair(self):
         a = np.random.default_rng(2).uniform(size=(4, 4))
         m = P.merge(a, a, "stacked")
-        assert np.array_equal(m.data[:, :, 0], m.data[:, :, 1])
+        assert np.array_equal(m[:, :, 0], m[:, :, 1])
 
     def test_stacked_multichannel_concatenates(self):
         a = np.zeros((4, 4, 2))
         b = np.ones((4, 4, 2))
         m = P.merge(a, b, "stacked")
-        assert m.data.shape == (4, 4, 4)
-        assert np.array_equal(m.data[:, :, :2], a)
-        assert np.array_equal(m.data[:, :, 2:], b)
+        assert m.shape == (4, 4, 4)
+        assert np.array_equal(m[:, :, :2], a)
+        assert np.array_equal(m[:, :, 2:], b)
 
     def test_h_join_left_block(self):
         rng = np.random.default_rng(3)
         a, b = rng.uniform(size=(2, 3, 5))
         m = P.merge(a, b, "h-join")
-        assert m.data.shape == (3, 10)
-        assert np.array_equal(m.data[:, :5], a)
-        assert np.array_equal(m.data[:, 5:], b)
+        assert m.shape == (3, 10)
+        assert np.array_equal(m[:, :5], a)
+        assert np.array_equal(m[:, 5:], b)
 
     def test_h_join_swap_is_block_swap(self):
         rng = np.random.default_rng(4)
         a, b = rng.uniform(size=(2, 3, 5))
-        ab = P.merge(a, b, "h-join").data
-        ba = P.merge(b, a, "h-join").data
+        ab = P.merge(a, b, "h-join")
+        ba = P.merge(b, a, "h-join")
         assert np.array_equal(ab[:, :5], ba[:, 5:])
         assert np.array_equal(ab[:, 5:], ba[:, :5])
-
-    def test_v_join(self):
-        rng = np.random.default_rng(5)
-        a, b = rng.uniform(size=(2, 3, 5))
-        m = P.merge(a, b, "v-join")
-        assert m.data.shape == (6, 5)
-        assert np.array_equal(m.data[:3], a)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
@@ -87,14 +57,12 @@ class TestMerge:
             P.merge(np.zeros((2, 2)), np.zeros((2, 2)), "diagonal")
 
 
-def _dataset(n_classes=5, per_class=4, seed=0, with_paths=False):
+def _dataset(n_classes=5, per_class=4, seed=0):
     rng = np.random.default_rng(seed)
     n = n_classes * per_class
-    paths = [f"img/{i}.pgm" for i in range(n)] if with_paths else None
     return Dataset(
         rng.uniform(size=(n, 6, 6)),
         np.repeat(np.arange(n_classes), per_class),
-        paths=paths,
     )
 
 
@@ -180,31 +148,12 @@ class TestHoldout:
 
 class TestManifest:
     def test_round_trip(self, tmp_path):
-        ds = _dataset(with_paths=True)
-        pairs = P.sample_pairs(ds, 12, rng_seed=8)
         path = tmp_path / "pairs.tsv"
-        P.write_pair_manifest(path, pairs, ds)
-        rows = P.read_pair_manifest(path)
-        assert len(rows) == 12
-        for p, (pa, pb, y) in zip(pairs, rows):
-            assert pa == ds.paths[p.index_a]
-            assert pb == ds.paths[p.index_b]
-            assert y == p.y
-
-    def test_lf_line_endings(self, tmp_path):
-        ds = _dataset(with_paths=True)
-        pairs = P.sample_pairs(ds, 3, rng_seed=9)
-        path = tmp_path / "pairs.tsv"
-        P.write_pair_manifest(path, pairs, ds)
-        blob = path.read_bytes()
-        assert b"\r" not in blob
-        assert blob.endswith(b"\n")
-
-    def test_requires_paths(self, tmp_path):
-        ds = _dataset(with_paths=False)
-        pairs = P.sample_pairs(ds, 3, rng_seed=10)
-        with pytest.raises(DataError):
-            P.write_pair_manifest(tmp_path / "x.tsv", pairs, ds)
+        path.write_bytes(b"s1/1.pgm\ts1/2.pgm\t1\n\ns1/1.pgm\ts2/1.pgm\t0\n")
+        assert P.read_pair_manifest(path) == [
+            ("s1/1.pgm", "s1/2.pgm", 1),
+            ("s1/1.pgm", "s2/1.pgm", 0),
+        ]
 
     def test_bad_line_rejected(self, tmp_path):
         path = tmp_path / "bad.tsv"

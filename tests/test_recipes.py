@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oneshotid import recipes as rc
-from oneshotid.datasets import Dataset
+from oneshotid.datasets import Dataset, write_matrix
 from oneshotid.errors import ConfigError
 from oneshotid.rng import derive_rng
 from oneshotid.trainer import DistancePairModel, MergedPairModel
@@ -150,6 +150,21 @@ def test_file_datasets_require_data_dir():
         rc.load_recipe_dataset(small_recipe(dataset="att-faces"), None)
     with pytest.raises(ConfigError, match="data-dir"):
         rc.load_recipe_dataset(small_recipe(dataset="smallnorb"), None)
+
+
+def test_smallnorb_recipe_loads_only_the_training_split(tmp_path):
+    # no testing-split files: the recipe path must not need them
+    rng = np.random.default_rng(0)
+    write_matrix(tmp_path / "fixture-training-dat.mat",
+                 rng.integers(0, 256, size=(6, 2, 8, 8)).astype(np.uint8))
+    write_matrix(tmp_path / "fixture-training-cat.mat", np.repeat([0, 1], 3).astype(np.int32))
+    info = np.zeros((6, 4), dtype=np.int32)
+    info[:, 0] = [0, 1, 2, 0, 1, 2]
+    write_matrix(tmp_path / "fixture-training-info.mat", info)
+    ds = rc.load_recipe_dataset(small_recipe(dataset="smallnorb"), str(tmp_path))
+    assert ds.source == "stereo-training"
+    assert ds.image_shape == (8, 8, 2)
+    assert len(ds.classes) == 6
 
 
 def test_downscale_applies():
