@@ -13,7 +13,7 @@ functions the rest of the network uses, applied to untracked tensors.
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, StateError
+from .errors import ConfigError, ShapeError, StateError
 from .layers import Activation, Conv2d, Dense, LayerStack
 from .rng import derive_rng
 
@@ -274,40 +274,27 @@ class Decoder:
     def named_params(self):
         return self.stack.named_params()
 
-    def forward(self, flat):
-        return self.stack(flat)
-
     def decode(self, v, mask):
         """Zero every capsule except ``mask``, then reconstruct.
 
-        v: [n_classes, d_out] or [B, n_classes, d_out]; returns an
-        image-shaped tensor (batch axis preserved) with values in [0, 1].
-        ``mask`` is a capsule index, or one index per example for batched
-        input.
+        v: [B, n_classes, d_out]; ``mask`` is one capsule index, or one per
+        example.  Returns [B, *image_shape] with values in [0, 1].
         """
-        batched = v.ndim == 3
-        if not batched:
-            v = T.reshape(v, (1,) + tuple(v.shape))
-        if np.ndim(mask) == 0:
-            if not 0 <= mask < self.n_classes:
-                raise IndexError(f"mask {mask} out of range [0, {self.n_classes})")
-            keep = np.zeros((self.n_classes, 1), dtype=v.dtype)
-            keep[mask, 0] = 1.0
-        else:
-            idx = np.asarray(mask)
-            if idx.shape != (v.shape[0],):
-                raise IndexError(
-                    f"mask array must have one entry per example, got {idx.shape}"
-                )
-            if idx.min() < 0 or idx.max() >= self.n_classes:
-                raise IndexError(f"mask entries out of range [0, {self.n_classes})")
-            keep = np.zeros((v.shape[0], self.n_classes, 1), dtype=v.dtype)
-            keep[np.arange(v.shape[0]), idx, 0] = 1.0
+        if v.ndim != 3:
+            raise ShapeError(f"decode expects v of shape [B, n_classes, d_out], got {v.shape}")
+        b = v.shape[0]
+        idx = np.asarray(mask)
+        if idx.ndim == 0:
+            idx = np.full(b, idx)
+        if idx.shape != (b,):
+            raise IndexError(f"mask must be one index or one per example, got shape {idx.shape}")
+        if np.any((idx < 0) | (idx >= self.n_classes)):
+            raise IndexError(f"mask {mask} out of range [0, {self.n_classes})")
+        keep = np.zeros((b, self.n_classes, 1), dtype=v.dtype)
+        keep[np.arange(b), idx, 0] = 1.0
         masked = T.mul(v, T.Tensor(keep))
-        flat = T.reshape(masked, (v.shape[0], self.n_classes * self.d_out))
-        out = self.stack(flat)
-        shape = ((v.shape[0],) + self.image_shape) if batched else self.image_shape
-        return T.reshape(out, shape)
+        out = self.stack(T.reshape(masked, (b, self.n_classes * self.d_out)))
+        return T.reshape(out, (b,) + self.image_shape)
 
 
 class CapsNet:

@@ -52,6 +52,8 @@ def _build(cls, fields):
 
 
 def _build_layer(spec):
+    if not isinstance(spec, dict):
+        raise FormatError(f"checkpoint layer spec {spec!r} is not an object")
     fields = dict(spec)
     kind = fields.pop("kind", None)
     if kind not in _LAYER_CLASSES:
@@ -66,28 +68,37 @@ def _stack_manifest(stack):
     }
 
 
-def _field(mapping, key, where):
+def _field(mapping, key, where, kind=object):
+    if not isinstance(mapping, dict):
+        raise FormatError(f"checkpoint {where} is not an object")
     try:
-        return mapping[key]
+        value = mapping[key]
     except KeyError:
         raise FormatError(f"checkpoint {where} has no {key!r}") from None
+    if not isinstance(value, kind):
+        raise FormatError(f"checkpoint {where} has {key} {value!r}, not a {kind.__name__}")
+    return value
+
+
+def _sizes(spec, key, where):
+    value = _field(spec, key, where, list)
+    if not all(type(v) is int and v >= 0 for v in value):
+        raise FormatError(f"checkpoint {where} has {key} {value!r}, not a list of sizes")
+    return value
 
 
 def _build_stack(spec, where):
-    layers = [_build_layer(s) for s in _field(spec, "layers", where)]
-    return L.LayerStack(layers, tuple(_field(spec, "input_shape", where)))
+    layers = _field(spec, "layers", where, list)
+    shape = _sizes(spec, "input_shape", where)
+    return L.LayerStack([_build_layer(s) for s in layers], tuple(shape))
 
 
 def _param_spec(spec, where):
     """(name, shape, dtype) of one manifest ``params`` entry, checked."""
-    if not isinstance(spec, dict):
-        raise FormatError(f"checkpoint {where} is not an object")
     name = _field(spec, "name", where)
     if not isinstance(name, str):
         raise FormatError(f"checkpoint {where} has name {name!r}, not a string")
-    shape = _field(spec, "shape", where)
-    if not isinstance(shape, list) or not all(type(v) is int and v >= 0 for v in shape):
-        raise FormatError(f"checkpoint {where} ({name!r}) has shape {shape!r}, not a list of sizes")
+    shape = _sizes(spec, "shape", where)
     dtype = _field(spec, "dtype", where)
     try:
         dtype = np.dtype(dtype) if isinstance(dtype, str) else None
@@ -134,7 +145,7 @@ def read_checkpoint(path):
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise FormatError(f"{path}: bad manifest: {exc}") from exc
         arrays = []
-        for k, spec in enumerate(manifest.get("params", [])):
+        for k, spec in enumerate(_field(manifest, "params", f"{path} manifest", list)):
             name, shape, dtype = _param_spec(spec, f"{path} params[{k}]")
             count = math.prod(shape)
             raw = f.read(count * dtype.itemsize)
@@ -192,7 +203,11 @@ def save_model(path, model, extra=None):
 
 def load_model(path):
     """Rebuild the model saved by save_model, parameters included."""
-    manifest, arrays = read_checkpoint(path)
+    return model_from_checkpoint(*read_checkpoint(path))
+
+
+def model_from_checkpoint(manifest, arrays):
+    """Rebuild a model from what read_checkpoint returned."""
     kind = manifest.get("model")
     if kind == "stack":
         stack = _build_stack(_field(manifest, "stack", "manifest"), "stack")
@@ -207,4 +222,4 @@ def load_model(path):
                              recon_threshold=_field(manifest, "recon_threshold", "manifest"))
         model.recon_loss = _field(manifest, "recon_loss", "manifest")
         return model
-    raise FormatError(f"{path}: unknown model kind {kind!r}")
+    raise FormatError(f"checkpoint has unknown model kind {kind!r}")

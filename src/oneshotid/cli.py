@@ -14,7 +14,7 @@ import numpy as np
 
 from . import __version__
 from .augment import apply_params, draw_params, write_sidecar
-from .checkpoint import load_model, read_checkpoint
+from .checkpoint import model_from_checkpoint, read_checkpoint
 from .datasets import (SyntheticAnodeSpec, export_pgm_tree,
                        generate_synthetic_anodes, read_pgm, write_pgm)
 from .errors import ConfigError, DataError, FormatError
@@ -34,48 +34,45 @@ def build_parser():
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--data-dir", default=os.environ.get("ONESHOT_DATA_DIR"),
-                        help="dataset directory (fallback: ONESHOT_DATA_DIR)")
-        sp.add_argument("--seed", type=int, default=None,
-                        help="override the recipe seed")
+    data_dir = argparse.ArgumentParser(add_help=False)
+    data_dir.add_argument("--data-dir", default=os.environ.get("ONESHOT_DATA_DIR"),
+                          help="dataset directory (fallback: ONESHOT_DATA_DIR)")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=None, help="override the recipe seed")
 
-    sp = sub.add_parser("train", help="run a recipe end to end")
+    sp = sub.add_parser("train", parents=[data_dir, seed], help="run a recipe end to end")
     sp.add_argument("--recipe", required=True)
     sp.add_argument("--out", required=True)
-    common(sp)
 
-    sp = sub.add_parser("crossval", help="run a recipe under k-fold cross-validation")
+    sp = sub.add_parser("crossval", parents=[data_dir, seed],
+                        help="run a recipe under k-fold cross-validation")
     sp.add_argument("--recipe", required=True)
     sp.add_argument("--out", required=True)
-    common(sp)
 
-    sp = sub.add_parser("eval", help="score a pair manifest with a checkpoint")
+    sp = sub.add_parser("eval", parents=[data_dir],
+                        help="score a pair manifest with a checkpoint")
     sp.add_argument("--checkpoint", required=True)
     sp.add_argument("--pairs", required=True, help="TSV pair manifest")
     sp.add_argument("--identify", action="store_true",
                     help="rank candidates per query instead of scoring pairs")
-    common(sp)
 
-    sp = sub.add_parser("augment", help="write augmented copies of a PGM tree")
+    sp = sub.add_parser("augment", parents=[seed], help="write augmented copies of a PGM tree")
     sp.add_argument("--in", dest="in_dir", required=True)
     sp.add_argument("--recipe", required=True,
                     help="INI file with an [augment] section")
     sp.add_argument("--out", required=True)
-    common(sp)
 
-    sp = sub.add_parser("compare-merging",
+    sp = sub.add_parser("compare-merging", parents=[data_dir, seed],
                         help="train the merged CNN per merge mode and tabulate")
     sp.add_argument("--recipe", required=True)
     sp.add_argument("--out", required=True)
-    common(sp)
 
-    sp = sub.add_parser("gen-synthetic", help="generate a synthetic anode PGM tree")
+    sp = sub.add_parser("gen-synthetic", parents=[seed],
+                        help="generate a synthetic anode PGM tree")
     sp.add_argument("--out", required=True)
     sp.add_argument("--classes", type=int, default=12)
     sp.add_argument("--views", type=int, default=6)
     sp.add_argument("--size", type=int, default=64)
-    common(sp)
 
     return parser
 
@@ -126,15 +123,17 @@ def _load_manifest_pairs(manifest_path, data_dir):
 
 
 def _load_wrapped_model(path):
-    manifest, _ = read_checkpoint(path)
+    manifest, arrays = read_checkpoint(path)
     extra = manifest.get("extra", {})
+    if not isinstance(extra, dict):
+        raise FormatError(f"{path}: checkpoint has extra {extra!r}, not an object")
     approach = extra.get("approach")
     if approach is None:
         raise ConfigError(
             f"{path}: checkpoint carries no experiment metadata; "
             "expected one written by the train command"
         )
-    inner = load_model(path)
+    inner = model_from_checkpoint(manifest, arrays)
     if approach == "merged":
         return MergedPairModel(inner, merge_mode=extra.get("merge_mode", "stacked")), extra
     return DistancePairModel(inner, margin=extra.get("margin", 1.0)), extra

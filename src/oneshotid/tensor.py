@@ -248,7 +248,9 @@ def leaky_relu(x, alpha=0.01):
     x = _as_tensor(x)
     mask = x.data > 0
     data = (np.maximum if alpha <= 1 else np.minimum)(x.data, alpha * x.data)
-    return from_op("leaky_relu", data, (x,), lambda g: (np.where(mask, g, alpha * g),))
+    # Factors in g's dtype: a float64 alpha would promote float32 gradients.
+    return from_op("leaky_relu", data, (x,),
+                   lambda g: (g * np.where(mask, g.dtype.type(1), g.dtype.type(alpha)),))
 
 
 def sigmoid(x):

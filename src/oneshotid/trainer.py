@@ -1,5 +1,6 @@
-"""Training loop and evaluation: RMSprop, early stopping, pair accuracy,
-and k-fold orchestration.
+"""Training and evaluation: one optimisation loop (``_epochs``) for pair
+and reconstruction training, early stopping, pair accuracy, and k-fold
+orchestration.
 
 Two model wrappers adapt the network zoo to a common batch interface:
 MergedPairModel feeds merged two-view images to a 2-logit classifier and
@@ -136,28 +137,6 @@ class RunReport:
 # optimizer
 # ---------------------------------------------------------------------------
 
-def rmsprop_step(params, grads, state, lr, rho, eps):
-    """One RMSprop update, in place.
-
-    s <- rho*s + (1-rho)*g^2; p <- p - lr*g/(sqrt(s) + eps).  ``state`` is a
-    list of accumulator arrays owned by the caller and updated in place.
-    """
-    if not (len(params) == len(grads) == len(state)):
-        raise ShapeError(
-            f"params/grads/state lengths differ: {len(params)}/{len(grads)}/{len(state)}"
-        )
-    for p, g, s in zip(params, grads, state):
-        if g.shape != p.data.shape or s.shape != p.data.shape:
-            raise ShapeError(
-                f"rmsprop_step shape mismatch: param {p.data.shape}, "
-                f"grad {g.shape}, state {s.shape}"
-            )
-        s *= rho
-        s += (1.0 - rho) * g * g
-        if lr != 0.0:
-            p.data = p.data - lr * g / (np.sqrt(s) + eps)
-
-
 class RMSprop:
     """Holds per-parameter accumulators for the lifetime of one run."""
 
@@ -169,9 +148,17 @@ class RMSprop:
         self.state = [np.zeros_like(p.data) for p in self.params]
 
     def step(self):
-        grads = [p.grad if p.grad is not None else np.zeros_like(p.data)
-                 for p in self.params]
-        rmsprop_step(self.params, grads, self.state, self.lr, self.rho, self.eps)
+        """One update in place: s <- rho*s + (1-rho)*g^2 and
+        p <- p - lr*g/(sqrt(s) + eps), with g = 0 where ``p.grad`` is None."""
+        for p, s in zip(self.params, self.state):
+            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            if g.shape != p.data.shape:
+                raise ShapeError(f"RMSprop gradient shape {g.shape} differs from its "
+                                 f"parameter's {p.data.shape}")
+            s *= self.rho
+            s += (1.0 - self.rho) * g * g
+            if self.lr != 0.0:
+                p.data = p.data - self.lr * g / (np.sqrt(s) + self.eps)
 
     def zero_grad(self):
         for p in self.params:
@@ -259,12 +246,6 @@ def _check_loss_kind(model, loss_kind):
             f"loss {loss_kind!r} does not fit a {model.kind!r} model "
             f"(expects {model.loss_kind!r})"
         )
-
-
-def _cast_params(model, dtype):
-    for p in model.params():
-        if p.data.dtype != dtype:
-            p.data = p.data.astype(dtype)
 
 
 def _batches(order, batch_size):
@@ -357,6 +338,38 @@ def _improved(monitor, best, current, min_delta):
     return best - current > min_delta
 
 
+def _epochs(model, n, config, tag, step):
+    """RMSprop over ``n`` examples; yields (mean loss, step outputs) per epoch.
+
+    Casts the parameters to ``config.dtype`` first.  Each epoch shuffles
+    with a permutation derived from (config.seed, tag, epoch), and
+    ``step(idx)`` runs under a tape on each batch of indices, returning
+    (loss, out).  A NumericError is re-raised with its epoch and batch.
+    """
+    for p in model.params():
+        if p.data.dtype != config.dtype:
+            p.data = p.data.astype(config.dtype)
+    opt = RMSprop(model.params(), lr=config.lr, rho=config.rho, eps=config.eps)
+    for epoch in range(config.epochs):
+        order = derive_rng(config.seed, tag, "epoch", epoch).permutation(n)
+        total, n_seen, outs = 0.0, 0, []
+        for bi, idx in enumerate(_batches(order, config.batch_size)):
+            try:
+                with Tape():
+                    loss, out = step(idx)
+                    backward(loss)
+            except NumericError as exc:
+                raise NumericError(
+                    f"epoch {epoch + 1}, batch {bi + 1}: {exc}"
+                ) from exc
+            opt.step()
+            opt.zero_grad()
+            total += float(loss.data) * len(idx)
+            n_seen += len(idx)
+            outs.append(out)
+        yield total / n_seen, outs
+
+
 def train(model, pairs, loss_kind, config, val_pairs=None):
     """Optimize ``model`` on labeled pairs and return a RunReport.
 
@@ -369,61 +382,37 @@ def train(model, pairs, loss_kind, config, val_pairs=None):
     if not pairs:
         raise DataError("train needs a nonempty pair list")
     _check_loss_kind(model, loss_kind)
-    dtype = config.dtype
-    _cast_params(model, dtype)
     val = list(val_pairs) if val_pairs is not None else pairs
-
-    opt = RMSprop(model.params(), lr=config.lr, rho=config.rho, eps=config.eps)
-    hist = {"train_loss": [], "train_acc": [], "val_loss": [], "val_acc": []}
+    report = RunReport([], [], [], [], wall_time=0.0, seed=config.seed,
+                       config=config.snapshot())
     best = math.inf if config.monitor.endswith("loss") else -math.inf
     wait = 0
-    stopped = False
     t0 = time.perf_counter()
 
-    for epoch in range(config.epochs):
-        order = derive_rng(config.seed, "train", "epoch", epoch).permutation(len(pairs))
-        total, n_seen = 0.0, 0
-        dists, labels = [], []
-        for bi, idx in enumerate(_batches(order, config.batch_size)):
-            chunk = [pairs[i] for i in idx]
-            try:
-                with Tape():
-                    loss, stats = model.batch_stats(chunk, dtype)
-                    backward(loss)
-            except NumericError as exc:
-                raise NumericError(
-                    f"epoch {epoch + 1}, batch {bi + 1}: {exc}"
-                ) from exc
-            opt.step()
-            opt.zero_grad()
-            total += float(loss.data) * len(chunk)
-            n_seen += len(chunk)
-            dists.append(stats["distances"])
-            labels.append(stats["labels"])
+    def step(idx):
+        return model.batch_stats([pairs[i] for i in idx], config.dtype)
 
-        hist["train_loss"].append(total / n_seen)
-        hist["train_acc"].append(_pair_accuracy(np.concatenate(dists),
-                                               np.concatenate(labels), model.threshold))
+    for loss, stats in _epochs(model, len(pairs), config, "train", step):
+        report.train_loss.append(loss)
+        dists = np.concatenate([s["distances"] for s in stats])
+        labels = np.concatenate([s["labels"] for s in stats])
+        report.train_acc.append(_pair_accuracy(dists, labels, model.threshold))
         vl, vd, vy = score_pairs(model, val)
-        hist["val_loss"].append(vl)
-        hist["val_acc"].append(_pair_accuracy(vd, vy, model.threshold))
+        report.val_loss.append(vl)
+        report.val_acc.append(_pair_accuracy(vd, vy, model.threshold))
 
-        current = hist[config.monitor][-1]
+        current = getattr(report, config.monitor)[-1]
         if _improved(config.monitor, best, current, config.min_delta):
             best = current
             wait = 0
         else:
             wait += 1
             if wait >= config.patience:
-                stopped = True
+                report.stopped_early = True
                 break
 
-    return RunReport(
-        train_loss=hist["train_loss"], train_acc=hist["train_acc"],
-        val_loss=hist["val_loss"], val_acc=hist["val_acc"],
-        wall_time=time.perf_counter() - t0, seed=config.seed,
-        config=config.snapshot(), stopped_early=stopped,
-    )
+    report.wall_time = time.perf_counter() - t0
+    return report
 
 
 def train_reconstruction(model, images, config, weight=0.0005):
@@ -441,33 +430,15 @@ def train_reconstruction(model, images, config, weight=0.0005):
     if imgs.shape[0] == 0:
         raise DataError("train_reconstruction needs at least one image")
     imgs = imgs.astype(config.dtype, copy=False)
-    _cast_params(model, config.dtype)
-    opt = RMSprop(model.params(), lr=config.lr, rho=config.rho, eps=config.eps)
-    history = []
-    for epoch in range(config.epochs):
-        order = derive_rng(config.seed, "recon", "epoch", epoch).permutation(len(imgs))
-        total, n_seen = 0.0, 0
-        for bi, idx in enumerate(_batches(order, config.batch_size)):
-            x = imgs[idx][:, None, :, :]
-            target = Tensor(imgs[idx], requires_grad=False)
-            try:
-                with Tape():
-                    v = model.encode(Tensor(x, requires_grad=False))
-                    scores = capsule_scores(v).data
-                    mask = np.argmax(scores, axis=1)
-                    decoded = model.decoder.decode(v, mask)
-                    loss = T.mul(reconstruction_loss(decoded, target, weight=weight),
-                                 1.0 / len(idx))
-                    backward(loss)
-            except NumericError as exc:
-                raise NumericError(
-                    f"epoch {epoch + 1}, batch {bi + 1}: {exc}"
-                ) from exc
-            opt.step()
-            opt.zero_grad()
-            total += float(loss.data) * len(idx)
-            n_seen += len(idx)
-        history.append(total / n_seen)
+
+    def step(idx):
+        v = model.encode(Tensor(imgs[idx][:, None, :, :], requires_grad=False))
+        mask = np.argmax(capsule_scores(v).data, axis=1)
+        decoded = model.decoder.decode(v, mask)
+        target = Tensor(imgs[idx], requires_grad=False)
+        return T.mul(reconstruction_loss(decoded, target, weight=weight), 1.0 / len(idx)), None
+
+    history = [loss for loss, _ in _epochs(model, len(imgs), config, "recon", step)]
     model.recon_loss = history[-1]
     return history
 

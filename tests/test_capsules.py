@@ -3,7 +3,7 @@ import pytest
 
 from oneshotid import capsules as C
 from oneshotid import tensor as T
-from oneshotid.errors import ConfigError, StateError
+from oneshotid.errors import ConfigError, ShapeError, StateError
 
 from gradcheck import check_grads, check_grads_sampled
 
@@ -323,11 +323,11 @@ class TestDecoder:
     def test_masking_ignores_other_capsules(self):
         dec = self._decoder()
         rng = np.random.default_rng(11)
-        v = rng.normal(size=(3, 4))
+        v = rng.normal(size=(1, 3, 4))
         a = dec.decode(T.Tensor(v), mask=1).data
         v2 = v.copy()
-        v2[0] += 5.0
-        v2[2] -= 3.0
+        v2[0, 0] += 5.0
+        v2[0, 2] -= 3.0
         b = dec.decode(T.Tensor(v2), mask=1).data
         assert np.array_equal(a, b)
 
@@ -340,16 +340,20 @@ class TestDecoder:
 
     def test_mask_out_of_range(self):
         dec = self._decoder()
-        v = T.Tensor(np.zeros((3, 4)))
+        v = T.Tensor(np.zeros((1, 3, 4)))
         with pytest.raises(IndexError):
             dec.decode(v, mask=3)
         with pytest.raises(IndexError):
             dec.decode(v, mask=-1)
 
+    def test_unbatched_capsules_rejected(self):
+        with pytest.raises(ShapeError):
+            self._decoder().decode(T.Tensor(np.zeros((3, 4))), mask=1)
+
     def test_gradients(self):
         dec = self._decoder()
         rng = np.random.default_rng(13)
-        v = rng.normal(size=(3, 4))
+        v = rng.normal(size=(1, 3, 4))
 
         def f(t):
             return T.tsum(T.square(dec.decode(t, mask=2)))

@@ -144,13 +144,12 @@ def test_missing_manifest_key_is_format_error_and_eval_exits_two(tmp_path, capsy
 
 
 def rewrite_manifest(path, edit):
-    """Apply ``edit`` to the manifest of the checkpoint at ``path`` in place,
-    keeping its parameter bytes (write_checkpoint rebuilds ``params``)."""
+    """Replace the manifest of the checkpoint at ``path`` with
+    ``edit(manifest)``, keeping its parameter bytes (write_checkpoint would
+    rebuild ``params``)."""
     raw = path.read_bytes()
     (mlen,) = struct.unpack("<Q", raw[12:20])
-    manifest = json.loads(raw[20:20 + mlen])
-    edit(manifest)
-    blob = json.dumps(manifest).encode("utf-8")
+    blob = json.dumps(edit(json.loads(raw[20:20 + mlen]))).encode("utf-8")
     path.write_bytes(raw[:12] + struct.pack("<Q", len(blob)) + blob + raw[20 + mlen:])
 
 
@@ -171,7 +170,12 @@ def test_bad_params_entry_is_format_error_and_eval_exits_two(tmp_path, capsys, c
     edit, needle = BAD_PARAMS[case]
     path = tmp_path / "model.ckpt"
     ckpt.save_model(path, small_stack(), extra={"approach": "siamese-cnn", "margin": 1.0})
-    rewrite_manifest(path, lambda m: edit(m["params"][1]))
+
+    def edit_second_entry(manifest):
+        edit(manifest["params"][1])
+        return manifest
+
+    rewrite_manifest(path, edit_second_entry)
     with pytest.raises(FormatError, match=r"params\[1\]") as info:
         ckpt.read_checkpoint(path)
     assert needle in str(info.value)
@@ -179,6 +183,32 @@ def test_bad_params_entry_is_format_error_and_eval_exits_two(tmp_path, capsys, c
     pairs.write_text("a.pgm\tb.pgm\t1\n")
     assert cli.main(["eval", "--checkpoint", str(path), "--pairs", str(pairs)]) == 2
     assert "params[1]" in capsys.readouterr().err
+
+
+def _with_stack_key(key, value):
+    return lambda m: {**m, "stack": {**m["stack"], key: value}}
+
+
+# Each replaces the manifest, or one value in it, with a value of the wrong JSON type.
+MALFORMED_KEYS = {
+    "manifest-list": (lambda m: [m], "manifest is not an object"),
+    "params-int": (lambda m: {**m, "params": 5}, "params 5"),
+    "extra-str": (lambda m: {**m, "extra": "x"}, "extra 'x'"),
+    "stack-layers-int": (_with_stack_key("layers", 3), "layers 3"),
+    "stack-input-shape-int": (_with_stack_key("input_shape", 7), "input_shape 7"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_KEYS))
+def test_malformed_manifest_key_is_format_error_and_eval_exits_two(tmp_path, capsys, case):
+    edit, needle = MALFORMED_KEYS[case]
+    path = tmp_path / "model.ckpt"
+    ckpt.save_model(path, small_stack(), extra={"approach": "siamese-cnn", "margin": 1.0})
+    rewrite_manifest(path, edit)
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("a.pgm\tb.pgm\t1\n")
+    assert cli.main(["eval", "--checkpoint", str(path), "--pairs", str(pairs)]) == 2
+    assert needle in capsys.readouterr().err
 
 
 def test_stack_round_trip_params_and_outputs(tmp_path):

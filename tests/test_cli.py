@@ -500,3 +500,21 @@ def test_bad_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         cli.main(["no-such-command"])
     assert exc.value.code == 2
+
+
+UNREAD_FLAGS = {
+    "eval-seed": ["eval", "--checkpoint", "m.ckpt", "--pairs", "p.tsv", "--seed", "1"],
+    "augment-data-dir": ["augment", "--in", "in", "--recipe", "r.cfg", "--out", "aug",
+                         "--data-dir", "d"],
+    "gen-synthetic-data-dir": ["gen-synthetic", "--out", "synth", "--classes", "2",
+                               "--views", "2", "--size", "16", "--data-dir", "d"],
+}
+
+
+@pytest.mark.parametrize("case", list(UNREAD_FLAGS))
+def test_flag_the_subcommand_never_reads_exits_two(tmp_path, capsys, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(UNREAD_FLAGS[case])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

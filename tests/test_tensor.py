@@ -60,8 +60,13 @@ def test_relu_matches_select_bit_for_bit(n, dtype):
 @pytest.mark.parametrize("alpha", [0.01, 0.0, -0.2, 1.5])
 def test_leaky_relu_matches_select_bit_for_bit(alpha, n, dtype):
     x = _signed_zero_inputs(n, dtype)
-    want = np.where(x > 0, x, alpha * x)
-    _assert_bit_identical(T.leaky_relu(T.Tensor(x), alpha).data, want)
+    g = _signed_zero_inputs(n + 1, dtype)[:n]
+    with T.Tape() as tape:
+        y = T.leaky_relu(T.Tensor(x, requires_grad=True), alpha)
+        (_, _, bwd), = tape._entries
+        dx, = bwd(g)
+    _assert_bit_identical(y.data, np.where(x > 0, x, alpha * x))
+    _assert_bit_identical(dx, np.where(x > 0, g, alpha * g))
 
 
 def test_relu_of_nan_raises():

@@ -99,30 +99,35 @@ def test_config_snapshot_is_plain_dict():
 # rmsprop
 # ---------------------------------------------------------------------------
 
+def rmsprop_on(p, lr=0.01):
+    return tr.RMSprop([p], lr=lr, rho=0.9, eps=1e-8)
+
+
 def test_rmsprop_zero_gradient_leaves_params():
     p = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
     before = p.data.copy()
-    s = [np.zeros(3)]
-    tr.rmsprop_step([p], [np.zeros(3)], s, lr=0.01, rho=0.9, eps=1e-8)
+    p.grad = np.zeros(3)
+    rmsprop_on(p).step()
     assert np.array_equal(p.data, before)
 
 
 def test_rmsprop_single_scalar_matches_update_rule():
     eps = 1e-8
     p = Tensor(np.array([0.0]), requires_grad=True)
-    s = [np.zeros(1)]
-    tr.rmsprop_step([p], [np.array([1.0])], s, lr=0.01, rho=0.9, eps=eps)
-    assert s[0][0] == pytest.approx(0.1, abs=1e-15)
+    opt = rmsprop_on(p)
+    p.grad = np.array([1.0])
+    opt.step()
+    assert opt.state[0][0] == pytest.approx(0.1, abs=1e-15)
     assert p.data[0] == pytest.approx(-0.01 / (np.sqrt(0.1) + eps), abs=1e-15)
 
 
 def test_rmsprop_descends_quadratic():
     p = Tensor(np.array([5.0]), requires_grad=True)
-    s = [np.zeros(1)]
+    opt = rmsprop_on(p)
     prev = abs(p.data[0])
     for _ in range(100):
-        g = 2.0 * p.data
-        tr.rmsprop_step([p], [g], s, lr=0.01, rho=0.9, eps=1e-8)
+        p.grad = 2.0 * p.data
+        opt.step()
         cur = abs(p.data[0])
         assert cur < prev
         prev = cur
@@ -130,20 +135,19 @@ def test_rmsprop_descends_quadratic():
 
 def test_rmsprop_shape_mismatch():
     p = Tensor(np.zeros(3), requires_grad=True)
-    with pytest.raises(ShapeError):
-        tr.rmsprop_step([p], [np.zeros(4)], [np.zeros(3)], 0.01, 0.9, 1e-8)
-    with pytest.raises(ShapeError):
-        tr.rmsprop_step([p], [np.zeros(3)], [np.zeros(2)], 0.01, 0.9, 1e-8)
-    with pytest.raises(ShapeError):
-        tr.rmsprop_step([p], [], [np.zeros(3)], 0.01, 0.9, 1e-8)
+    for grad in (np.zeros(4), np.zeros((3, 1))):
+        p.grad = grad
+        with pytest.raises(ShapeError):
+            rmsprop_on(p).step()
 
 
 def test_rmsprop_state_accumulates_across_steps():
     p = Tensor(np.array([1.0]), requires_grad=True)
-    s = [np.zeros(1)]
-    tr.rmsprop_step([p], [np.array([1.0])], s, lr=0.0, rho=0.9, eps=1e-8)
-    tr.rmsprop_step([p], [np.array([1.0])], s, lr=0.0, rho=0.9, eps=1e-8)
-    assert s[0][0] == pytest.approx(0.9 * 0.1 + 0.1, abs=1e-15)
+    opt = rmsprop_on(p, lr=0.0)
+    p.grad = np.array([1.0])
+    opt.step()
+    opt.step()
+    assert opt.state[0][0] == pytest.approx(0.9 * 0.1 + 0.1, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +236,14 @@ def test_train_numeric_error_carries_epoch_and_batch():
                  tr.TrainConfig(lr=1e-3, epochs=1, batch_size=8))
 
 
+def test_train_reconstruction_numeric_error_carries_epoch_and_batch():
+    model = tiny_capsnet()
+    model.decoder.params()[0].data = np.full_like(model.decoder.params()[0].data, np.nan)
+    with pytest.raises(NumericError, match=r"epoch 1, batch 1"):
+        tr.train_reconstruction(model, recon_images(),
+                                tr.TrainConfig(lr=1e-3, epochs=1, batch_size=4))
+
+
 def test_optimizer_state_resets_between_runs():
     pairs = toy_pairs()
     cfg2 = tr.TrainConfig(lr=1e-3, epochs=2, batch_size=8, seed=6)
@@ -280,7 +292,7 @@ def test_float32_training_stays_float32(tower, monkeypatch):
 
     seen = []
     from_op = T.from_op
-    rmsprop_step = tr.rmsprop_step
+    optimizer_step = tr.RMSprop.step
 
     def spy_from_op(op_name, data, inputs, backward_fn):
         def checked_backward(g):
@@ -291,12 +303,12 @@ def test_float32_training_stays_float32(tower, monkeypatch):
         seen.append((op_name, data.dtype))
         return from_op(op_name, data, inputs, checked_backward)
 
-    def spy_rmsprop_step(params, grads, state, *args):
-        seen.extend(("optimizer grad", g.dtype) for g in grads)
-        rmsprop_step(params, grads, state, *args)
+    def spy_optimizer_step(opt):
+        seen.extend(("optimizer grad", p.grad.dtype) for p in opt.params if p.grad is not None)
+        optimizer_step(opt)
 
     monkeypatch.setattr(T, "from_op", spy_from_op)
-    monkeypatch.setattr(tr, "rmsprop_step", spy_rmsprop_step)
+    monkeypatch.setattr(tr.RMSprop, "step", spy_optimizer_step)
     if tower == "merged":
         model = tr.MergedPairModel(L.build_merged_cnn((16, 16, 2), seed=1))
         size = 16
