@@ -247,10 +247,8 @@ class Decoder:
     """Dense stack reconstructing an image from one masked capsule vector.
 
     Hidden layers use leaky ReLU with the default slope 0.01, the output a
-    sigmoid; ``spec_fields`` is the whole architecture a checkpoint stores.
+    sigmoid.
     """
-
-    spec_fields = ("n_classes", "d_out", "image_shape", "sizes")
 
     def __init__(self, n_classes, d_out, image_shape, sizes=(512, 1024), seed=0):
         self.n_classes = int(n_classes)
@@ -266,13 +264,9 @@ class Decoder:
         layers += [Dense(feat, pixels, rng=derive_rng(seed, "decoder", "out")),
                    Activation("sigmoid")]
         self.stack = LayerStack(layers, (n_classes * d_out,))
-        self.sizes = tuple(sizes)
 
     def params(self):
         return self.stack.params()
-
-    def named_params(self):
-        return self.stack.named_params()
 
     def decode(self, v, mask):
         """Zero every capsule except ``mask``, then reconstruct.
@@ -313,11 +307,6 @@ class CapsNet:
 
     def params(self):
         return self.encoder.params() + self.decoder.params()
-
-    def named_params(self):
-        enc = [("encoder." + n, p) for n, p in self.encoder.named_params()]
-        dec = [("decoder." + n, p) for n, p in self.decoder.named_params()]
-        return enc + dec
 
     def encode(self, x):
         return self.encoder(x)

@@ -5,8 +5,13 @@ manifest as UTF-8 JSON, then each parameter's raw bytes in manifest
 order.  The manifest records enough layer configuration to rebuild the
 architecture without touching initializer seeds, so a load is exact.
 
-Each layer class (and the capsule ``Decoder``) names the attributes a
-checkpoint stores for it in its ``spec_fields`` class attribute.  Each
+A checkpoint holds one layer stack: a merged pair model's classifier or
+a siamese model's tower.  The pair wrapper's settings sit in the
+manifest's ``extra`` object, which only ``save_pair_model`` and
+``pair_model_from_checkpoint`` write and read.
+
+Each layer class names the attributes a checkpoint stores for it in its
+``spec_fields`` class attribute.  Each
 name is both an attribute and a constructor argument, so
 ``cls(**spec_fields values)`` rebuilds the architecture; initializer
 arguments such as ``rng`` are left out because the parameters are loaded
@@ -24,7 +29,10 @@ import numpy as np
 from . import capsules as caps
 from . import layers as L
 from .atomic import atomic_open
-from .errors import FormatError
+from .errors import ConfigError, FormatError
+from .trainer import DistancePairModel, MergedPairModel
+
+APPROACHES = ("merged", "siamese-cnn", "siamese-capsnet")
 
 _MAGIC = b"OSIDCKPT"
 _VERSION = 1
@@ -35,11 +43,14 @@ _LAYER_CLASSES = {cls.kind: cls for cls in (
 )}
 
 
-def _spec(obj):
-    return {f: getattr(obj, f) for f in type(obj).spec_fields}
-
-
-def _build(cls, fields):
+def _build_layer(spec):
+    if not isinstance(spec, dict):
+        raise FormatError(f"checkpoint layer spec {spec!r} is not an object")
+    fields = dict(spec)
+    kind = fields.pop("kind", None)
+    if kind not in _LAYER_CLASSES:
+        raise FormatError(f"unknown layer kind {kind!r} in checkpoint")
+    cls = _LAYER_CLASSES[kind]
     if set(fields) != set(cls.spec_fields):
         raise FormatError(
             f"{cls.__name__} spec has fields {sorted(fields)}, "
@@ -51,19 +62,10 @@ def _build(cls, fields):
         raise FormatError(f"{cls.__name__} spec {fields}: {exc}") from exc
 
 
-def _build_layer(spec):
-    if not isinstance(spec, dict):
-        raise FormatError(f"checkpoint layer spec {spec!r} is not an object")
-    fields = dict(spec)
-    kind = fields.pop("kind", None)
-    if kind not in _LAYER_CLASSES:
-        raise FormatError(f"unknown layer kind {kind!r} in checkpoint")
-    return _build(_LAYER_CLASSES[kind], fields)
-
-
 def _stack_manifest(stack):
     return {
-        "layers": [{"kind": l.kind, **_spec(l)} for l in stack.layers],
+        "layers": [{"kind": l.kind, **{f: getattr(l, f) for f in l.spec_fields}}
+                   for l in stack.layers],
         "input_shape": list(stack.input_shape),
     }
 
@@ -85,12 +87,6 @@ def _sizes(spec, key, where):
     if not all(type(v) is int and v >= 0 for v in value):
         raise FormatError(f"checkpoint {where} has {key} {value!r}, not a list of sizes")
     return value
-
-
-def _build_stack(spec, where):
-    layers = _field(spec, "layers", where, list)
-    shape = _sizes(spec, "input_shape", where)
-    return L.LayerStack([_build_layer(s) for s in layers], tuple(shape))
 
 
 def _param_spec(spec, where):
@@ -157,13 +153,9 @@ def read_checkpoint(path):
     return manifest, arrays
 
 
-def _load_into(stack, named_arrays, prefix=""):
+def _load_into(stack, named_arrays):
     expected = {name: p for name, p in stack.named_params()}
     for name, arr in named_arrays:
-        if prefix:
-            if not name.startswith(prefix):
-                continue
-            name = name[len(prefix):]
         if name not in expected:
             raise FormatError(f"checkpoint parameter {name!r} has no home in the model")
         p = expected.pop(name)
@@ -176,50 +168,83 @@ def _load_into(stack, named_arrays, prefix=""):
         raise FormatError(f"checkpoint missing parameters: {sorted(expected)}")
 
 
-def save_model(path, model, extra=None):
-    """Serialize a LayerStack or a capsule model with its architecture.
+def save_model(path, stack, extra=None):
+    """Serialize a LayerStack with its architecture.
 
     ``extra`` is an optional JSON-compatible dict stored verbatim in the
-    manifest, for callers that wrap models (merge mode, margin, chosen
-    threshold, ...).
+    manifest; ``save_pair_model`` fills it with a pair model's settings.
     """
-    if isinstance(model, caps.CapsNet):
-        manifest = {
-            "model": "capsnet",
-            "encoder": _stack_manifest(model.encoder),
-            "decoder": _spec(model.decoder),
-            "recon_threshold": model.recon_threshold,
-            "recon_loss": model.recon_loss,
-        }
-    elif isinstance(model, L.LayerStack):
-        manifest = {"model": "stack", "stack": _stack_manifest(model)}
-    else:
-        raise FormatError(f"cannot checkpoint a {type(model).__name__}")
-    named = [(n, p.data) for n, p in model.named_params()]
+    if not isinstance(stack, L.LayerStack):
+        raise FormatError(f"cannot checkpoint a {type(stack).__name__}")
+    manifest = {"model": "stack", "stack": _stack_manifest(stack)}
     if extra is not None:
         manifest["extra"] = dict(extra)
-    write_checkpoint(path, manifest, named)
+    write_checkpoint(path, manifest, [(n, p.data) for n, p in stack.named_params()])
 
 
 def load_model(path):
-    """Rebuild the model saved by save_model, parameters included."""
-    return model_from_checkpoint(*read_checkpoint(path))
+    """Rebuild the LayerStack saved by save_model, parameters included."""
+    return _stack_from_checkpoint(*read_checkpoint(path))
 
 
-def model_from_checkpoint(manifest, arrays):
-    """Rebuild a model from what read_checkpoint returned."""
+def _stack_from_checkpoint(manifest, arrays):
     kind = manifest.get("model")
-    if kind == "stack":
-        stack = _build_stack(_field(manifest, "stack", "manifest"), "stack")
-        _load_into(stack, arrays)
-        return stack
-    if kind == "capsnet":
-        encoder = _build_stack(_field(manifest, "encoder", "manifest"), "encoder")
-        decoder = _build(caps.Decoder, _field(manifest, "decoder", "manifest"))
-        _load_into(encoder, arrays, prefix="encoder.")
-        _load_into(decoder.stack, arrays, prefix="decoder.")
-        model = caps.CapsNet(encoder, decoder,
-                             recon_threshold=_field(manifest, "recon_threshold", "manifest"))
-        model.recon_loss = _field(manifest, "recon_loss", "manifest")
-        return model
-    raise FormatError(f"checkpoint has unknown model kind {kind!r}")
+    if kind != "stack":
+        raise FormatError(f"checkpoint has unknown model kind {kind!r}")
+    spec = _field(manifest, "stack", "manifest")
+    layers = _field(spec, "layers", "stack", list)
+    shape = _sizes(spec, "input_shape", "stack")
+    stack = L.LayerStack([_build_layer(s) for s in layers], tuple(shape))
+    _load_into(stack, arrays)
+    return stack
+
+
+def save_pair_model(path, model, approach, threshold=None):
+    """Save a trained pair model under ``approach``.
+
+    A MergedPairModel is saved as its stack with ``extra`` =
+    {approach, merge_mode}; a DistancePairModel as its tower with
+    {approach, margin, threshold}, where ``threshold`` is the tau chosen
+    for it (None when there is none).
+    """
+    if approach == "merged":
+        save_model(path, model.stack,
+                   extra={"approach": approach, "merge_mode": model.merge_mode})
+    else:
+        save_model(path, model.tower, extra={"approach": approach, "margin": model.margin,
+                                             "threshold": threshold})
+
+
+def _extra_value(extra, key, default, kinds, what):
+    value = extra.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise FormatError(f"checkpoint extra has {key} {value!r}, not {what}")
+    return value
+
+
+def pair_model_from_checkpoint(manifest, arrays):
+    """Rebuild what save_pair_model wrote from what read_checkpoint returned.
+
+    Returns (model, tau): tau is the merged model's fixed threshold, a
+    siamese model's stored threshold, or None when none was stored.  A
+    missing merge_mode is "stacked" and a missing margin 1.0.  No
+    ``approach`` is a ConfigError; an unknown approach or a value of the
+    wrong JSON type is a FormatError naming the key.
+    """
+    extra = manifest.get("extra", {})
+    if not isinstance(extra, dict):
+        raise FormatError(f"checkpoint has extra {extra!r}, not an object")
+    if "approach" not in extra:
+        raise ConfigError("checkpoint carries no experiment metadata; "
+                          "expected one written by the train command")
+    approach = extra["approach"]
+    if approach not in APPROACHES:
+        raise FormatError(f"checkpoint extra has approach {approach!r}, "
+                          f"not one of {APPROACHES}")
+    if approach == "merged":
+        merge_mode = _extra_value(extra, "merge_mode", "stacked", str, "a string")
+        return (MergedPairModel(_stack_from_checkpoint(manifest, arrays), merge_mode),
+                MergedPairModel.threshold)
+    margin = _extra_value(extra, "margin", 1.0, (int, float), "a number")
+    tau = _extra_value(extra, "threshold", None, (int, float, type(None)), "a number or null")
+    return DistancePairModel(_stack_from_checkpoint(manifest, arrays), margin), tau

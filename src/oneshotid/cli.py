@@ -14,7 +14,7 @@ import numpy as np
 
 from . import __version__
 from .augment import apply_params, draw_params, write_sidecar
-from .checkpoint import model_from_checkpoint, read_checkpoint
+from .checkpoint import pair_model_from_checkpoint, read_checkpoint
 from .datasets import (SyntheticAnodeSpec, export_pgm_tree,
                        generate_synthetic_anodes, read_pgm, write_pgm)
 from .errors import ConfigError, DataError, FormatError
@@ -22,7 +22,7 @@ from .pairing import PairSample, read_pair_manifest
 from .recipes import (read_augment_config, read_recipe, run_experiment,
                       run_merge_comparison)
 from .rng import derive_seed
-from .trainer import DistancePairModel, MergedPairModel, choose_threshold, score_pairs
+from .trainer import choose_threshold, score_pairs
 
 
 def build_parser():
@@ -122,23 +122,6 @@ def _load_manifest_pairs(manifest_path, data_dir):
     return samples
 
 
-def _load_wrapped_model(path):
-    manifest, arrays = read_checkpoint(path)
-    extra = manifest.get("extra", {})
-    if not isinstance(extra, dict):
-        raise FormatError(f"{path}: checkpoint has extra {extra!r}, not an object")
-    approach = extra.get("approach")
-    if approach is None:
-        raise ConfigError(
-            f"{path}: checkpoint carries no experiment metadata; "
-            "expected one written by the train command"
-        )
-    inner = model_from_checkpoint(manifest, arrays)
-    if approach == "merged":
-        return MergedPairModel(inner, merge_mode=extra.get("merge_mode", "stacked")), extra
-    return DistancePairModel(inner, margin=extra.get("margin", 1.0)), extra
-
-
 def _same_probability(margin):
     """Softmax p(same) of two logits, from the margin z_diff - z_same."""
     e = np.exp(-np.abs(margin))
@@ -146,7 +129,7 @@ def _same_probability(margin):
 
 
 def cmd_eval(args):
-    model, extra = _load_wrapped_model(args.checkpoint)
+    model, tau = pair_model_from_checkpoint(*read_checkpoint(args.checkpoint))
     samples = _load_manifest_pairs(args.pairs, args.data_dir)
     _, distances, labels = score_pairs(model, [s for _, _, s in samples])
     # Higher score = more confident the two views show the same object.
@@ -158,9 +141,6 @@ def cmd_eval(args):
     if args.identify:
         return _identify(samples, scores)
 
-    tau = model.threshold
-    if tau is None:
-        tau = extra.get("threshold")
     if tau is None:
         tau, _ = choose_threshold(distances, labels)
     preds = (distances < tau).astype(int)

@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import checkpoint
 from .atomic import atomic_open
 from .augment import AugmentConfig, apply_params, draw_params
 from .capsules import build_capsnet
+from .checkpoint import APPROACHES, save_pair_model
 from .datasets import (Dataset, SyntheticAnodeSpec, downscale_dataset,
                        generate_synthetic_anodes, kfold_split, load_pgm_faces,
                        load_smallnorb_split)
@@ -29,7 +29,6 @@ from .trainer import (DistancePairModel, MergedPairModel, TrainConfig,
                       choose_threshold, crossvalidate, evaluate_pairs, score_pairs,
                       train)
 
-APPROACHES = ("merged", "siamese-cnn", "siamese-capsnet")
 DATASETS = ("smallnorb", "att-faces", "synthetic-anodes")
 PROTOCOLS = ("kfold", "holdout")
 MERGE_MODES = ("stacked", "h-join")
@@ -315,19 +314,12 @@ def _run_single(recipe, train_ds, eval_ds, config, out_dir=None, tag=""):
         _, d, y = score_pairs(model, train_pairs)
         tau, _ = choose_threshold(d, y)
     report.test_accuracy = evaluate_pairs(model, val_pairs, threshold_rule=tau)
-
-    if recipe.approach == "merged":
-        extra = {"approach": recipe.approach, "merge_mode": recipe.merge_mode}
-        inner = model.stack
-    else:
-        extra = {"approach": recipe.approach, "margin": recipe.margin, "threshold": tau}
-        inner = model.tower
     if out_dir is not None:
         run_dir = os.path.join(out_dir, tag) if tag else out_dir
         os.makedirs(run_dir, exist_ok=True)
         report.write_csv(os.path.join(run_dir, "epochs.csv"))
         report.write_summary(os.path.join(run_dir, "summary.txt"))
-        checkpoint.save_model(os.path.join(run_dir, "model.ckpt"), inner, extra=extra)
+        save_pair_model(os.path.join(run_dir, "model.ckpt"), model, recipe.approach, tau)
     return report, model
 
 
@@ -367,8 +359,8 @@ def run_experiment(recipe, data_dir, out_dir, command="train"):
     if recipe.protocol == "kfold":
         reports, summary = crossvalidate(make_fold_runner(recipe, out_dir),
                                          dataset, recipe.folds, recipe.train)
-        for fold in range(recipe.folds):
-            entries.append((f"fold.{fold}.seed", derive_seed(recipe.seed, "fold", fold)))
+        for fold, report in enumerate(reports):
+            entries.append((f"fold.{fold}.seed", report.seed))
             entries.append((f"fold.{fold}.accuracy", summary["per_fold"][fold]))
         entries.append(("summary.mean", summary["mean"]))
         entries.append(("summary.std", summary["std"]))

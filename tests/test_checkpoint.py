@@ -8,10 +8,11 @@ import pytest
 from oneshotid import checkpoint as ckpt
 from oneshotid import cli
 from oneshotid import layers as L
-from oneshotid.capsules import CapsNet, Decoder, build_capsnet
+from oneshotid.capsules import build_capsnet
 from oneshotid.errors import FormatError
 from oneshotid.rng import derive_rng
 from oneshotid.tensor import Tensor
+from oneshotid.trainer import DistancePairModel, MergedPairModel
 
 
 def small_stack(seed=3):
@@ -27,11 +28,9 @@ def small_stack(seed=3):
     return L.LayerStack(layers, (2, 8, 8))
 
 
-def tiny_capsnet(seed=7):
-    enc = build_capsnet((12, 12, 1), n_classes=3, d_out=4, conv_channels=(8, 8),
-                        kernels=(3, 3), strides=(1, 2), n_p=4, seed=seed)
-    dec = Decoder(3, 4, (12, 12), sizes=(16,), seed=seed)
-    return CapsNet(enc, dec, recon_threshold=0.02)
+def capsule_tower():
+    return build_capsnet((12, 12, 1), n_classes=3, d_out=4, conv_channels=(8, 8),
+                         kernels=(3, 3), strides=(1, 2), n_p=4, routing_iters=2, seed=7)
 
 
 def arange_filled(model):
@@ -55,30 +54,55 @@ def golden_stack():
     return arange_filled(L.LayerStack(layers, (2, 8, 8)))
 
 
-def golden_capsnet():
-    enc = build_capsnet((12, 12, 1), n_classes=3, d_out=4, conv_channels=(8, 8),
-                        kernels=(3, 3), strides=(1, 2), n_p=4, routing_iters=2, seed=7)
-    model = CapsNet(enc, Decoder(3, 4, (12, 12), sizes=(16, 8), seed=7),
-                    recon_threshold=0.02)
-    model.recon_loss = 0.011
-    return arange_filled(model)
-
-
 # SHA-256 of what save_model writes for these models.  The parameters hold
 # no random draws, so a changed digest means a changed checkpoint format.
 GOLDEN_DIGESTS = {
     golden_stack: "ea8c6525e53e231cecfc853e64ad373d070d322a2ea9cb7e71b6000e85a8d765",
-    golden_capsnet: "74f7f6559e8215291878b5eec08650a7d1e19057c65d1642f9fb2467845ba32e",
 }
 
 
-@pytest.mark.parametrize("build", list(GOLDEN_DIGESTS), ids=["stack", "capsnet"])
+@pytest.mark.parametrize("build", list(GOLDEN_DIGESTS), ids=["stack"])
 def test_save_model_bytes_match_golden_digest(tmp_path, build):
     path = tmp_path / "golden.ckpt"
     ckpt.save_model(path, build())
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_DIGESTS[build]
     ckpt.save_model(tmp_path / "again.ckpt", ckpt.load_model(path))
     assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
+
+
+# (pair model, approach, threshold, SHA-256 of what save_pair_model writes).
+# The digests are those of save_model(inner, extra={...}) as train wrote it
+# before save_pair_model existed, so the file format is unchanged.
+GOLDEN_PAIRS = {
+    "merged": (lambda: MergedPairModel(golden_stack(), merge_mode="h-join"), "merged", 0.0,
+               "10b2d75be79a2565ef3a80a93660b57efc3b120f4e0ee40bfdab9ce007091bdc"),
+    "siamese-capsnet": (lambda: DistancePairModel(arange_filled(capsule_tower()), margin=0.75),
+                        "siamese-capsnet", 0.3125,
+                        "c960869b2e38355c8b176d303686d006bb8a05ce0ad386effe7297c2d5dae9fe"),
+}
+
+
+@pytest.mark.parametrize("case", list(GOLDEN_PAIRS))
+def test_save_pair_model_bytes_match_golden_digest(tmp_path, case):
+    build, approach, threshold, digest = GOLDEN_PAIRS[case]
+    path = tmp_path / "golden.ckpt"
+    model = build()
+    ckpt.save_pair_model(path, model, approach, threshold)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    loaded, tau = ckpt.pair_model_from_checkpoint(*ckpt.read_checkpoint(path))
+    assert type(loaded) is type(model) and tau == threshold
+    ckpt.save_pair_model(tmp_path / "again.ckpt", loaded, approach, tau)
+    assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
+
+
+def test_pair_model_defaults_for_missing_extra_keys(tmp_path):
+    path = tmp_path / "model.ckpt"
+    ckpt.save_model(path, small_stack(), extra={"approach": "merged"})
+    merged, tau = ckpt.pair_model_from_checkpoint(*ckpt.read_checkpoint(path))
+    assert (merged.merge_mode, tau) == ("stacked", 0.0)
+    ckpt.save_model(path, small_stack(), extra={"approach": "siamese-cnn"})
+    siamese, tau = ckpt.pair_model_from_checkpoint(*ckpt.read_checkpoint(path))
+    assert (siamese.margin, tau) == (1.0, None)
 
 
 BAD_SPECS = {
@@ -91,9 +115,8 @@ BAD_SPECS = {
     "no-kind": (small_stack, lambda m: m["stack"]["layers"][3].pop("kind"), "None"),
     "bad-value": (small_stack, lambda m: m["stack"]["layers"][1].update(name="tanh"),
                   "tanh"),
-    "encoder-layer": (tiny_capsnet, lambda m: m["encoder"]["layers"][-1].pop("n_out"),
+    "encoder-layer": (capsule_tower, lambda m: m["stack"]["layers"][-1].pop("n_out"),
                       "n_out"),
-    "decoder-field": (tiny_capsnet, lambda m: m["decoder"].pop("sizes"), "sizes"),
 }
 
 
@@ -113,12 +136,6 @@ MISSING_KEYS = [
     (small_stack, ("stack",)),
     (small_stack, ("stack", "layers")),
     (small_stack, ("stack", "input_shape")),
-    (tiny_capsnet, ("encoder",)),
-    (tiny_capsnet, ("encoder", "layers")),
-    (tiny_capsnet, ("encoder", "input_shape")),
-    (tiny_capsnet, ("decoder",)),
-    (tiny_capsnet, ("recon_threshold",)),
-    (tiny_capsnet, ("recon_loss",)),
 ]
 
 
@@ -189,6 +206,10 @@ def _with_stack_key(key, value):
     return lambda m: {**m, "stack": {**m["stack"], key: value}}
 
 
+def _with_extra_key(key, value):
+    return lambda m: {**m, "extra": {**m["extra"], key: value}}
+
+
 # Each replaces the manifest, or one value in it, with a value of the wrong JSON type.
 MALFORMED_KEYS = {
     "manifest-list": (lambda m: [m], "manifest is not an object"),
@@ -196,6 +217,10 @@ MALFORMED_KEYS = {
     "extra-str": (lambda m: {**m, "extra": "x"}, "extra 'x'"),
     "stack-layers-int": (_with_stack_key("layers", 3), "layers 3"),
     "stack-input-shape-int": (_with_stack_key("input_shape", 7), "input_shape 7"),
+    "extra-margin-str": (_with_extra_key("margin", "x"), "margin 'x'"),
+    "extra-threshold-str": (_with_extra_key("threshold", "x"), "threshold 'x'"),
+    "extra-approach-int": (_with_extra_key("approach", 5), "approach 5"),
+    "extra-margin-bool": (_with_extra_key("margin", True), "margin True"),
 }
 
 
@@ -238,22 +263,16 @@ def test_stack_round_trip_preserves_layer_config(tmp_path):
     assert loaded.layers[5].alpha == 0.05
 
 
-def test_capsnet_round_trip(tmp_path):
-    model = tiny_capsnet()
-    model.recon_loss = 0.011
-    path = tmp_path / "caps.ckpt"
-    ckpt.save_model(path, model)
-    loaded = ckpt.load_model(path)
-
-    assert isinstance(loaded, CapsNet)
-    assert loaded.recon_threshold == model.recon_threshold
-    assert loaded.recon_loss == model.recon_loss
-    assert loaded.decoder.sizes == (16,)
-    assert loaded.decoder.image_shape == (12, 12)
-
-    x = Tensor(derive_rng(1, "img").uniform(size=(2, 1, 12, 12)))
-    assert np.array_equal(model.encode(x).data, loaded.encode(x).data)
-    assert np.array_equal(model.reconstruct(x).data, loaded.reconstruct(x).data)
+def test_capsnet_model_kind_is_format_error_and_eval_exits_two(tmp_path, capsys):
+    path = tmp_path / "model.ckpt"
+    ckpt.save_model(path, small_stack(), extra={"approach": "siamese-cnn", "margin": 1.0})
+    rewrite_manifest(path, lambda m: {**m, "model": "capsnet"})
+    with pytest.raises(FormatError, match="model kind 'capsnet'"):
+        ckpt.load_model(path)
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("a.pgm\tb.pgm\t1\n")
+    assert cli.main(["eval", "--checkpoint", str(path), "--pairs", str(pairs)]) == 2
+    assert "'capsnet'" in capsys.readouterr().err
 
 
 def test_high_caps_routing_iters_survive(tmp_path):

@@ -316,6 +316,59 @@ def test_eval_siamese_checkpoint_without_threshold_sweeps_manifest(tmp_path, cap
     assert summary == f"accuracy={best:.6g}"
 
 
+ROUND_TRIP_RECIPE = """
+[experiment]
+approach = {approach}
+dataset = att-faces
+protocol = holdout
+held_out_classes = 2
+n_pairs = 16
+n_val_pairs = 8
+caps_classes = 3
+caps_d_out = 4
+routing_iters = 2
+seed = 5
+
+[train]
+batch_size = 8
+epochs = 2
+lr = 0.001
+"""
+
+
+@pytest.mark.parametrize("approach", ["merged", "siamese-cnn", "siamese-capsnet"])
+def test_train_then_eval_round_trip(tmp_path, capsys, approach):
+    tree = tmp_path / "tree"
+    assert cli.main(["gen-synthetic", "--out", str(tree), "--classes", "5",
+                     "--views", "3", "--size", "20", "--seed", "2"]) == 0
+    recipe = write_recipe(tmp_path, ROUND_TRIP_RECIPE.format(approach=approach))
+    run = tmp_path / "run"
+    assert cli.main(["train", "--recipe", recipe, "--out", str(run),
+                     "--data-dir", str(tree)]) == 0
+    images = [f"s{c}/{v}.pgm" for c in range(5) for v in (1, 2)]
+    rows = [(a, b, int(a[:2] == b[:2])) for i, a in enumerate(images) for b in images[i + 1:]]
+    manifest = tmp_path / "pairs.tsv"
+    manifest.write_text("".join(f"{a}\t{b}\t{y}\n" for a, b, y in rows))
+    ckpt = run / "model.ckpt"
+    capsys.readouterr()
+
+    assert cli.main(["eval", "--checkpoint", str(ckpt), "--pairs", str(manifest),
+                     "--data-dir", str(tree)]) == 0
+    fields, summary = _eval_rows(capsys)
+    assert [(f[0], f[1], int(f[4])) for f in fields] == rows
+    preds = np.array([int(f[3]) for f in fields])
+    labels = np.array([y for _, _, y in rows])
+    assert summary == f"accuracy={float((preds == labels).mean()):.6g}"
+    if approach != "merged":
+        tau = read_checkpoint(ckpt)[0]["extra"]["threshold"]
+        # The score is -distance to 6 significant digits; a row that close
+        # to tau cannot be checked from it.
+        distances = [-float(f[2]) for f in fields]
+        checked = [(p, d) for p, d in zip(preds, distances) if abs(d - tau) > 1e-5 * tau]
+        assert len(checked) > len(rows) // 2
+        assert all(p == int(d < tau) for p, d in checked)
+
+
 # ---------------------------------------------------------------------------
 # augment
 # ---------------------------------------------------------------------------
