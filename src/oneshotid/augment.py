@@ -188,15 +188,3 @@ def write_sidecar(path, mapping):
     with atomic_open(path, "w", encoding="utf-8", newline="\n") as f:
         for key in sorted(mapping):
             f.write(f"{key}={mapping[key]}\n")
-
-
-def read_sidecar(path):
-    out = {}
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            key, _, value = line.partition("=")
-            out[key] = value
-    return out

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ShapeError, StateError
-from .layers import Activation, Conv2d, Dense, LayerStack
+from .layers import Activation, Conv2d, Dense, Layer, LayerStack, _hwc
 from .rng import derive_rng
 
 
@@ -122,7 +122,7 @@ def capsule_predict(u, w):
     return T.from_op("capsule_predict", data, (u, w), bwd)
 
 
-class PrimaryCapsuleLayer:
+class PrimaryCapsuleLayer(Layer):
     """Regroups conv maps [B, n_m, h, w] into squashed capsule vectors.
 
     Each capsule takes n_p consecutive channels at one spatial location,
@@ -136,9 +136,6 @@ class PrimaryCapsuleLayer:
         self.n_p = int(n_p)
         if self.n_p < 1:
             raise ConfigError(f"capsule length must be positive, got {n_p}")
-
-    def params(self):
-        return []
 
     def out_shape(self, in_shape):
         if len(in_shape) != 3:
@@ -158,10 +155,8 @@ class PrimaryCapsuleLayer:
         u = T.reshape(u, (b, groups * h * w, self.n_p))
         return squash(u, axis=-1)
 
-    __call__ = forward
 
-
-class HighLevelCapsuleLayer:
+class HighLevelCapsuleLayer(Layer):
     """Routes N_p input capsules to J output capsules of length d_out.
 
     The only parameters are the prediction matrices W: [N_p, J, d_out, n_p];
@@ -201,8 +196,6 @@ class HighLevelCapsuleLayer:
         v, _ = dynamic_route(u_hat, self.routing_iters)
         return v
 
-    __call__ = forward
-
 
 def capsule_scores(v):
     """Per-class confidence: the norm of each output capsule."""
@@ -219,23 +212,18 @@ def build_capsnet(input_shape, n_classes, d_out=16, routing_iters=3,
     vectors; class score for j is the norm of capsule j.  The flattened
     output doubles as an embedding for pairwise comparison.
     """
-    h, w, c = (int(v) for v in input_shape)
+    h, w, c = _hwc(input_shape)
     c1, c2 = conv_channels
-    if c2 % n_p != 0:
-        raise ConfigError(f"capsule length {n_p} must divide the {c2} feature maps")
-    layers = []
-    shape = (c, h, w)
-    conv1 = Conv2d(c, c1, kernel=kernels[0], stride=strides[0],
-                   rng=derive_rng(seed, "capsnet", "conv", 1))
-    layers += [conv1, Activation("leaky_relu")]
-    shape = conv1.out_shape(shape)
-    conv2 = Conv2d(c1, c2, kernel=kernels[1], stride=strides[1],
-                   rng=derive_rng(seed, "capsnet", "conv", 2))
-    layers += [conv2, Activation("leaky_relu")]
-    shape = conv2.out_shape(shape)
-    primary = PrimaryCapsuleLayer(n_p)
-    layers.append(primary)
-    n_caps, _ = primary.out_shape(shape)
+    layers = [
+        Conv2d(c, c1, kernel=kernels[0], stride=strides[0],
+               rng=derive_rng(seed, "capsnet", "conv", 1)),
+        Activation("leaky_relu"),
+        Conv2d(c1, c2, kernel=kernels[1], stride=strides[1],
+               rng=derive_rng(seed, "capsnet", "conv", 2)),
+        Activation("leaky_relu"),
+        PrimaryCapsuleLayer(n_p),
+    ]
+    n_caps, _ = LayerStack(layers, (c, h, w)).output_shape
     layers.append(
         HighLevelCapsuleLayer(n_caps, n_p, n_classes, d_out, routing_iters,
                               rng=derive_rng(seed, "capsnet", "caps"))

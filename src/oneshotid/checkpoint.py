@@ -10,13 +10,10 @@ a siamese model's tower.  The pair wrapper's settings sit in the
 manifest's ``extra`` object, which only ``save_pair_model`` and
 ``pair_model_from_checkpoint`` write and read.
 
-Each layer class names the attributes a checkpoint stores for it in its
-``spec_fields`` class attribute.  Each
-name is both an attribute and a constructor argument, so
-``cls(**spec_fields values)`` rebuilds the architecture; initializer
-arguments such as ``rng`` are left out because the parameters are loaded
-afterwards.  A layer's spec is its ``kind`` plus those attributes, and
-loading calls the class registered for that kind.  A spec whose kind is
+A layer's spec is its ``kind`` plus the attributes its ``spec_fields``
+names (see ``layers.Layer``), so loading calls the class registered for
+that kind with them; initializer arguments such as ``rng`` are left out
+because the parameters are loaded afterwards.  A spec whose kind is
 unknown, or whose keys differ from ``spec_fields``, is a FormatError.
 """
 
@@ -30,6 +27,7 @@ from . import capsules as caps
 from . import layers as L
 from .atomic import atomic_open
 from .errors import ConfigError, FormatError
+from .pairing import MERGE_MODES
 from .trainer import DistancePairModel, MergedPairModel
 
 APPROACHES = ("merged", "siamese-cnn", "siamese-capsnet")
@@ -222,14 +220,21 @@ def _extra_value(extra, key, default, kinds, what):
     return value
 
 
+def _extra_choice(extra, key, default, choices):
+    value = extra.get(key, default)
+    if value not in choices:
+        raise FormatError(f"checkpoint extra has {key} {value!r}, not one of {choices}")
+    return value
+
+
 def pair_model_from_checkpoint(manifest, arrays):
     """Rebuild what save_pair_model wrote from what read_checkpoint returned.
 
     Returns (model, tau): tau is the merged model's fixed threshold, a
     siamese model's stored threshold, or None when none was stored.  A
     missing merge_mode is "stacked" and a missing margin 1.0.  No
-    ``approach`` is a ConfigError; an unknown approach or a value of the
-    wrong JSON type is a FormatError naming the key.
+    ``approach`` is a ConfigError; an unknown approach or merge mode, or a
+    value of the wrong JSON type, is a FormatError naming the key.
     """
     extra = manifest.get("extra", {})
     if not isinstance(extra, dict):
@@ -237,12 +242,9 @@ def pair_model_from_checkpoint(manifest, arrays):
     if "approach" not in extra:
         raise ConfigError("checkpoint carries no experiment metadata; "
                           "expected one written by the train command")
-    approach = extra["approach"]
-    if approach not in APPROACHES:
-        raise FormatError(f"checkpoint extra has approach {approach!r}, "
-                          f"not one of {APPROACHES}")
+    approach = _extra_choice(extra, "approach", None, APPROACHES)
     if approach == "merged":
-        merge_mode = _extra_value(extra, "merge_mode", "stacked", str, "a string")
+        merge_mode = _extra_choice(extra, "merge_mode", "stacked", MERGE_MODES)
         return (MergedPairModel(_stack_from_checkpoint(manifest, arrays), merge_mode),
                 MergedPairModel.threshold)
     margin = _extra_value(extra, "margin", 1.0, (int, float), "a number")

@@ -122,6 +122,23 @@ def _load_manifest_pairs(manifest_path, data_dir):
     return samples
 
 
+def _check_images_fit(model, samples):
+    """Raise DataError naming the first image the model cannot take.
+
+    Whether an image fits depends only on its shape, so the first image
+    of each shape in manifest order is the one checked.
+    """
+    first_of_shape = {}
+    for pa, pb, s in samples:
+        first_of_shape.setdefault(s.a.shape, (pa, s.a))
+        first_of_shape.setdefault(s.b.shape, (pb, s.b))
+    for path, img in first_of_shape.values():
+        got, want = model.input_shapes(img)
+        if got != want:
+            raise DataError(f"{path}: image of shape {img.shape} gives input {got}; "
+                            f"the checkpoint takes {want}")
+
+
 def _same_probability(margin):
     """Softmax p(same) of two logits, from the margin z_diff - z_same."""
     e = np.exp(-np.abs(margin))
@@ -131,6 +148,7 @@ def _same_probability(margin):
 def cmd_eval(args):
     model, tau = pair_model_from_checkpoint(*read_checkpoint(args.checkpoint))
     samples = _load_manifest_pairs(args.pairs, args.data_dir)
+    _check_images_fit(model, samples)
     _, distances, labels = score_pairs(model, [s for _, _, s in samples])
     # Higher score = more confident the two views show the same object.
     if model.kind == "merged":

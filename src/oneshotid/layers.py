@@ -39,11 +39,13 @@ def _pair(v):
     return int(v), int(v)
 
 
-def _out_extent(size, k, stride, pad):
-    span = size + 2 * pad - k
-    if span < 0:
-        return 0
-    return span // stride + 1
+def _window_extent(op, h, w, window, stride, pad=0):
+    """Output (oh, ow) of sliding a window over an h x w input padded by
+    ``pad`` on each side; a ShapeError names ``op`` when it does not fit."""
+    (kh, kw), (sh, sw) = window, stride
+    if kh > h + 2 * pad or kw > w + 2 * pad:
+        raise ShapeError(f"{op} window {kh}x{kw} does not fit input {h}x{w} (padding {pad})")
+    return (h + 2 * pad - kh) // sh + 1, (w + 2 * pad - kw) // sw + 1
 
 
 def conv2d(x, weights, bias, stride=1, padding=0):
@@ -68,13 +70,7 @@ def conv2d(x, weights, bias, stride=1, padding=0):
         raise ShapeError(f"conv2d channel mismatch: input has {c}, weights expect {cw}")
     sh, sw = _pair(stride)
     pad = int(padding)
-    oh = _out_extent(h, kh, sh, pad)
-    ow = _out_extent(w, kw, sw, pad)
-    if oh < 1 or ow < 1:
-        raise ShapeError(
-            f"conv2d output would be {oh}x{ow} for input {h}x{w}, kernel {kh}x{kw}, "
-            f"stride {sh}x{sw}, padding {pad}"
-        )
+    oh, ow = _window_extent("conv", h, w, (kh, kw), (sh, sw), pad)
 
     xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
     win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
@@ -119,11 +115,7 @@ def maxpool2d(x, window, stride=None):
         raise ShapeError(f"maxpool2d input must be [N,C,H,W], got {x.shape}")
     ph, pw = _pair(window)
     sh, sw = _pair(stride if stride is not None else (ph, pw))
-    h, w = x.shape[2:]
-    if ph > h or pw > w:
-        raise ShapeError(f"pool window {ph}x{pw} does not fit input {h}x{w}")
-    oh = (h - ph) // sh + 1
-    ow = (w - pw) // sw + 1
+    oh, ow = _window_extent("pool", *x.shape[2:], (ph, pw), (sh, sw))
 
     xd = x.data
     taps = [(slice(None), slice(None),
@@ -147,12 +139,31 @@ def maxpool2d(x, window, stride=None):
     return T.from_op("maxpool2d", out, (x,), bwd)
 
 
+class Layer:
+    """What a LayerStack needs of each layer.
+
+    ``forward(x)`` maps a batch; ``out_shape(in_shape)`` gives the output
+    shape of one example (no batch axis) and raises for an input the layer
+    cannot take; ``params()`` lists (name, tensor) pairs.  A checkpoint
+    stores ``kind`` and the attributes named in ``spec_fields``, each of
+    which is also a constructor argument.
+    """
+
+    spec_fields = ()
+
+    def params(self):
+        return []
+
+    def __call__(self, x):
+        return self.forward(x)
+
+
 def _he_uniform(rng, fan_in, shape):
     limit = math.sqrt(6.0 / fan_in)
     return rng.uniform(-limit, limit, size=shape)
 
 
-class Conv2d:
+class Conv2d(Layer):
     kind = "conv"
     spec_fields = ("in_channels", "out_channels", "kernel", "stride", "padding")
 
@@ -180,21 +191,14 @@ class Conv2d:
         c, h, w = in_shape
         if c != self.in_channels:
             raise ShapeError(f"conv expects {self.in_channels} channels, got {c}")
-        kh, kw = self.kernel
-        sh, sw = self.stride
-        oh = _out_extent(h, kh, sh, self.padding)
-        ow = _out_extent(w, kw, sw, self.padding)
-        if oh < 1 or ow < 1:
-            raise ShapeError(f"conv output {oh}x{ow} invalid for input {h}x{w}")
-        return (self.out_channels, oh, ow)
+        return (self.out_channels,
+                *_window_extent("conv", h, w, self.kernel, self.stride, self.padding))
 
     def forward(self, x):
         return conv2d(x, self.weights, self.bias, self.stride, self.padding)
 
-    __call__ = forward
 
-
-class MaxPool2d:
+class MaxPool2d(Layer):
     kind = "maxpool"
     spec_fields = ("window", "stride")
 
@@ -202,26 +206,17 @@ class MaxPool2d:
         self.window = _pair(window)
         self.stride = _pair(stride if stride is not None else self.window)
 
-    def params(self):
-        return []
-
     def out_shape(self, in_shape):
         if len(in_shape) != 3:
             raise ShapeError(f"pool expects (C,H,W) input, got {in_shape}")
         c, h, w = in_shape
-        ph, pw = self.window
-        if ph > h or pw > w:
-            raise ShapeError(f"pool window {ph}x{pw} does not fit input {h}x{w}")
-        sh, sw = self.stride
-        return (c, (h - ph) // sh + 1, (w - pw) // sw + 1)
+        return (c, *_window_extent("pool", h, w, self.window, self.stride))
 
     def forward(self, x):
         return maxpool2d(x, self.window, self.stride)
 
-    __call__ = forward
 
-
-class Dense:
+class Dense(Layer):
     kind = "dense"
     spec_fields = ("in_features", "out_features")
 
@@ -248,10 +243,8 @@ class Dense:
             raise ShapeError(f"dense expects [N,{self.in_features}], got {x.shape}")
         return T.add(T.matmul(x, self.weights), self.bias)
 
-    __call__ = forward
 
-
-class Activation:
+class Activation(Layer):
     kind = "act"
     spec_fields = ("name", "alpha")
 
@@ -263,9 +256,6 @@ class Activation:
         self.name = name
         self.alpha = alpha
 
-    def params(self):
-        return []
-
     def out_shape(self, in_shape):
         return tuple(in_shape)
 
@@ -276,23 +266,15 @@ class Activation:
             return T.leaky_relu(x, self.alpha)
         return T.sigmoid(x)
 
-    __call__ = forward
 
-
-class Flatten:
+class Flatten(Layer):
     kind = "flatten"
-    spec_fields = ()
-
-    def params(self):
-        return []
 
     def out_shape(self, in_shape):
         return (int(np.prod(in_shape)),)
 
     def forward(self, x):
         return T.reshape(x, (x.shape[0], -1))
-
-    __call__ = forward
 
 
 class LayerStack:
@@ -349,19 +331,13 @@ def _conv_tower(input_shape, channels, pool_after, dense_sizes, seed, scope):
     with ReLU between them and a linear final layer."""
     h, w, c = _hwc(input_shape)
     layers = []
-    shape = (c, h, w)
-    for i, ch in enumerate(channels, start=1):
-        conv = Conv2d(shape[0], ch, kernel=3, stride=1, padding=0,
-                      rng=derive_rng(seed, scope, "conv", i))
-        layers.append(conv)
-        shape = conv.out_shape(shape)
-        layers.append(Activation("relu"))
+    for i, (c_in, c_out) in enumerate(zip((c, *channels), channels), start=1):
+        layers += [Conv2d(c_in, c_out, kernel=3, rng=derive_rng(seed, scope, "conv", i)),
+                   Activation("relu")]
         if i in pool_after:
-            pool = MaxPool2d(2, 2)
-            layers.append(pool)
-            shape = pool.out_shape(shape)
+            layers.append(MaxPool2d(2, 2))
     layers.append(Flatten())
-    feat = int(np.prod(shape))
+    feat, = LayerStack(layers, (c, h, w)).output_shape
     for j, size in enumerate(dense_sizes, start=1):
         layers.append(Dense(feat, size, rng=derive_rng(seed, scope, "dense", j)))
         if j < len(dense_sizes):

@@ -57,17 +57,22 @@ def contrastive_loss(e1, e2, y, margin=1.0):
     return T.tmean(per_pair)
 
 
+def _per_example_cross_entropy(logits, idx):
+    """Per-example softmax cross-entropy [B] of logits [B,K] against the
+    class indices ``idx``."""
+    b, k = logits.shape
+    onehot = np.zeros((b, k), dtype=logits.dtype)
+    onehot[np.arange(b), idx] = 1.0
+    picked = T.tsum(T.mul(logits, T.Tensor(onehot)), axis=1)
+    return T.sub(T.logsumexp(logits, axis=1), picked)
+
+
 def cross_entropy(logits, labels):
     """Mean softmax cross-entropy; labels are class indices."""
     if logits.ndim != 2:
         raise ShapeError(f"logits must be [B,K], got {logits.shape}")
     b, k = logits.shape
-    idx = _as_label_array(labels, k, b)
-    onehot = np.zeros((b, k), dtype=logits.dtype)
-    onehot[np.arange(b), idx] = 1.0
-    picked = T.tsum(T.mul(logits, T.Tensor(onehot)), axis=1)
-    per_example = T.sub(T.logsumexp(logits, axis=1), picked)
-    return T.tmean(per_example)
+    return T.tmean(_per_example_cross_entropy(logits, _as_label_array(labels, k, b)))
 
 
 class CenterState:
@@ -117,11 +122,7 @@ def center_loss(features, logits_params, labels, state):
         raise ShapeError(f"state holds {state.feature_dim}-dim centroids, features are {d}-dim")
     idx = _as_label_array(labels, min(k, state.n_classes), b)
 
-    logits = T.add(T.matmul(features, w), bias)
-    onehot = np.zeros((b, k), dtype=logits.dtype)
-    onehot[np.arange(b), idx] = 1.0
-    picked = T.tsum(T.mul(logits, T.Tensor(onehot)), axis=1)
-    ce = T.tsum(T.sub(T.logsumexp(logits, axis=1), picked))
+    ce = T.tsum(_per_example_cross_entropy(T.add(T.matmul(features, w), bias), idx))
 
     pulled = T.Tensor(state.centroids[idx].astype(features.dtype, copy=False))
     dist2 = T.tsum(T.square(T.sub(features, pulled)))

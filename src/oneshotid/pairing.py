@@ -25,6 +25,10 @@ class PairSample:
     index_b: int = -1
 
 
+# How ``merge`` combines the two images of a pair.
+MERGE_MODES = ("stacked", "h-join")
+
+
 def merge(a, b, mode):
     """Combine two equal-shape images into one.
 
@@ -48,7 +52,7 @@ def merge(a, b, mode):
             raise ShapeError(f"h-join needs [H,W] images, got {a.shape}")
         data = np.concatenate([a, b], axis=1)
     else:
-        raise ConfigError(f"unknown merge mode {mode!r}")
+        raise ConfigError(f"merge mode must be one of {MERGE_MODES}, got {mode!r}")
     return data
 
 

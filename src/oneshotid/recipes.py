@@ -21,9 +21,9 @@ from .checkpoint import APPROACHES, save_pair_model
 from .datasets import (Dataset, SyntheticAnodeSpec, downscale_dataset,
                        generate_synthetic_anodes, kfold_split, load_pgm_faces,
                        load_smallnorb_split)
-from .errors import ConfigError
+from .errors import ConfigError, ShapeError
 from .layers import build_merged_cnn, build_siamese_tower
-from .pairing import class_subset, holdout_split, merge, sample_pairs
+from .pairing import MERGE_MODES, class_subset, holdout_split, merge, sample_pairs
 from .rng import derive_seed
 from .trainer import (DistancePairModel, MergedPairModel, TrainConfig,
                       choose_threshold, crossvalidate, evaluate_pairs, score_pairs,
@@ -31,7 +31,6 @@ from .trainer import (DistancePairModel, MergedPairModel, TrainConfig,
 
 DATASETS = ("smallnorb", "att-faces", "synthetic-anodes")
 PROTOCOLS = ("kfold", "holdout")
-MERGE_MODES = ("stacked", "h-join")
 
 
 @dataclass
@@ -81,6 +80,9 @@ class ExperimentRecipe:
             raise ConfigError(f"downscale must be >= 1, got {self.downscale}")
         if self.augment_multiplier < 0:
             raise ConfigError(f"augment multiplier must be >= 0, got {self.augment_multiplier}")
+        for key in ("caps_classes", "caps_d_out"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
         # one seed to rule the run: the trainer inherits the recipe seed
         self.train = dataclasses.replace(self.train, seed=self.seed)
 
@@ -245,29 +247,30 @@ def load_recipe_dataset(recipe, data_dir):
     return ds
 
 
-def _tower_input_shape(images):
-    shape = images.shape[1:]
-    return (shape[0], shape[1], 1) if len(shape) == 2 else tuple(shape)
-
-
-def _merged_input_shape(recipe, dataset):
-    a = dataset.images[0]
-    m = merge(a, a, recipe.merge_mode)
-    return (m.shape[0], m.shape[1], 1) if m.ndim == 2 else tuple(m.shape)
-
-
 def build_model(recipe, dataset, seed):
+    """The recipe's untrained pair model for the dataset's image shape.
+
+    An architecture that cannot take that shape is a ConfigError naming
+    the approach and the (H, W, C) input shape.
+    """
     init = derive_seed(seed, "init")
+    image = dataset.images[0]
     if recipe.approach == "merged":
-        stack = build_merged_cnn(_merged_input_shape(recipe, dataset), seed=init)
-        return MergedPairModel(stack, merge_mode=recipe.merge_mode)
-    shape = _tower_input_shape(dataset.images)
-    if recipe.approach == "siamese-cnn":
-        tower = build_siamese_tower(shape, seed=init)
-    else:
-        tower = build_capsnet(shape, n_classes=recipe.caps_classes,
-                              d_out=recipe.caps_d_out,
-                              routing_iters=recipe.routing_iters, seed=init)
+        image = merge(image, image, recipe.merge_mode)
+    shape = image.shape + (1,) if image.ndim == 2 else image.shape
+    try:
+        if recipe.approach == "merged":
+            return MergedPairModel(build_merged_cnn(shape, seed=init),
+                                   merge_mode=recipe.merge_mode)
+        if recipe.approach == "siamese-cnn":
+            tower = build_siamese_tower(shape, seed=init)
+        else:
+            tower = build_capsnet(shape, n_classes=recipe.caps_classes,
+                                  d_out=recipe.caps_d_out,
+                                  routing_iters=recipe.routing_iters, seed=init)
+    except ShapeError as exc:
+        raise ConfigError(f"approach {recipe.approach} cannot take input shape "
+                          f"{shape}: {exc}") from exc
     return DistancePairModel(tower, margin=recipe.margin)
 
 
@@ -345,15 +348,21 @@ def write_manifest(path, entries):
             f.write(f"{key}={value}\n")
 
 
-def run_experiment(recipe, data_dir, out_dir, command="train"):
-    """Execute a recipe end to end; returns a result dict and writes run
-    artifacts (reports, checkpoints, manifest) under out_dir."""
+def _start_run(recipe, data_dir, out_dir, command):
+    """Make ``out_dir`` and load the recipe's dataset; returns the dataset
+    and the manifest entries every run starts with."""
     from . import __version__
 
     os.makedirs(out_dir, exist_ok=True)
     dataset = load_recipe_dataset(recipe, data_dir)
-    entries = [("command", command), ("package_version", __version__),
-               ("dataset_sha256", dataset_hash(dataset))]
+    return dataset, [("command", command), ("package_version", __version__),
+                     ("dataset_sha256", dataset_hash(dataset))]
+
+
+def run_experiment(recipe, data_dir, out_dir, command="train"):
+    """Execute a recipe end to end; returns a result dict and writes run
+    artifacts (reports, checkpoints, manifest) under out_dir."""
+    dataset, entries = _start_run(recipe, data_dir, out_dir, command)
     entries += recipe_items(recipe)
 
     if recipe.protocol == "kfold":
@@ -384,17 +393,12 @@ def run_experiment(recipe, data_dir, out_dir, command="train"):
 def run_merge_comparison(recipe, data_dir, out_dir):
     """Train the merged CNN once per merge mode under identical seeds.
 
-    Returns [(mode, accuracy)] for stacked and h-join, in that order.
+    Returns [(mode, accuracy)] for each of MERGE_MODES, in that order.
     """
-    from . import __version__
-
-    os.makedirs(out_dir, exist_ok=True)
-    dataset = load_recipe_dataset(recipe, data_dir)
+    dataset, entries = _start_run(recipe, data_dir, out_dir, "compare-merging")
     train_ds, val_ds = kfold_split(dataset, recipe.folds, 0, seed=recipe.seed)
     rows = []
-    entries = [("command", "compare-merging"), ("package_version", __version__),
-               ("dataset_sha256", dataset_hash(dataset))]
-    for mode in ("stacked", "h-join"):
+    for mode in MERGE_MODES:
         variant = dataclasses.replace(recipe, approach="merged", merge_mode=mode)
         report, _ = _run_single(variant, train_ds, val_ds, variant.train,
                                 out_dir=out_dir, tag=mode)

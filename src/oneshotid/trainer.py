@@ -193,6 +193,11 @@ class MergedPairModel:
     def params(self):
         return self.stack.params()
 
+    def input_shapes(self, image):
+        """(input shape a pair of ``image``-shaped images gives the stack,
+        input shape the stack takes)."""
+        return _chw(merge(image, image, self.merge_mode)).shape, self.stack.input_shape
+
     def batch_stats(self, pairs, dtype):
         imgs = [_chw(merge(p.a, p.b, self.merge_mode)) for p in pairs]
         x = np.stack(imgs).astype(dtype, copy=False)
@@ -222,6 +227,11 @@ class DistancePairModel:
 
     def params(self):
         return self.tower.params()
+
+    def input_shapes(self, image):
+        """(input shape an ``image``-shaped image gives the tower, input
+        shape the tower takes)."""
+        return _chw(image).shape, self.tower.input_shape
 
     def embed(self, images):
         out = self.tower(Tensor(np.asarray(images), requires_grad=False))

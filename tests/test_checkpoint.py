@@ -210,7 +210,8 @@ def _with_extra_key(key, value):
     return lambda m: {**m, "extra": {**m["extra"], key: value}}
 
 
-# Each replaces the manifest, or one value in it, with a value of the wrong JSON type.
+# Each replaces the manifest, or one value in it, with a value of the wrong
+# JSON type or outside the key's choices.
 MALFORMED_KEYS = {
     "manifest-list": (lambda m: [m], "manifest is not an object"),
     "params-int": (lambda m: {**m, "params": 5}, "params 5"),
@@ -221,6 +222,9 @@ MALFORMED_KEYS = {
     "extra-threshold-str": (_with_extra_key("threshold", "x"), "threshold 'x'"),
     "extra-approach-int": (_with_extra_key("approach", 5), "approach 5"),
     "extra-margin-bool": (_with_extra_key("margin", True), "margin True"),
+    "extra-merge-mode-unknown": (
+        lambda m: {**m, "extra": {"approach": "merged", "merge_mode": "v-join"}},
+        "merge_mode 'v-join'"),
 }
 
 

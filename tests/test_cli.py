@@ -130,6 +130,40 @@ def test_train_fold_data_error_exits_two_with_fold(tmp_path, capsys, monkeypatch
     assert "error: fold 0: no usable pairs" in capsys.readouterr().err
 
 
+HOLDOUT_RECIPE = """
+[experiment]
+approach = {approach}
+dataset = synthetic-anodes
+protocol = holdout
+held_out_classes = 2
+n_pairs = 8
+n_val_pairs = 6
+synthetic_classes = 4
+synthetic_views = 3
+image_size = {size}
+seed = 3
+{extra}
+"""
+
+# (approach, image_size, extra [experiment] line, expected text in the error)
+UNFIT_RECIPES = {
+    "merged-too-small": ("merged", 10, "", "approach merged cannot take input shape (10, 10, 2)"),
+    "capsnet-too-small": ("siamese-capsnet", 10, "",
+                          "approach siamese-capsnet cannot take input shape (10, 10, 1)"),
+    "capsnet-zero-d-out": ("siamese-capsnet", 24, "caps_d_out = 0", "caps_d_out"),
+    "capsnet-zero-classes": ("siamese-capsnet", 24, "caps_classes = 0", "caps_classes"),
+}
+
+
+@pytest.mark.parametrize("case", list(UNFIT_RECIPES))
+def test_train_recipe_the_architecture_cannot_take_exits_two(tmp_path, capsys, case):
+    approach, size, extra, needle = UNFIT_RECIPES[case]
+    recipe = write_recipe(tmp_path, HOLDOUT_RECIPE.format(approach=approach, size=size,
+                                                          extra=extra))
+    assert cli.main(["train", "--recipe", recipe, "--out", str(tmp_path / "o")]) == 2
+    assert needle in capsys.readouterr().err
+
+
 def test_train_missing_recipe_exits_two(tmp_path, capsys):
     rcode = cli.main(["train", "--recipe", str(tmp_path / "absent.cfg"),
                       "--out", str(tmp_path / "o")])
@@ -232,6 +266,50 @@ def test_eval_checkpoint_with_bad_layer_spec_exits_two(tmp_path, capsys):
     pairs.write_text(f"{images['a0']}\t{images['a1']}\t1\n")
     assert cli.main(["eval", "--checkpoint", str(ckpt), "--pairs", str(pairs)]) == 2
     assert "padding" in capsys.readouterr().err
+
+
+def _unfit_siamese_smaller(tmp_path, images):
+    return [(images["a0"], images["a1"], 1)], images["a0"], "(1, 6, 6)"
+
+
+def _unfit_merged_h_join(tmp_path, images):
+    # a stacked merged model for 3x3 images, saved as if it were h-join
+    stack = L.LayerStack([L.Flatten(), L.Dense(18, 2)], (2, 3, 3))
+    save_model(str(tmp_path / "model.ckpt"), stack,
+               extra={"approach": "merged", "merge_mode": "h-join"})
+    return [(images["a0"], images["b0"], 0)], images["a0"], "(2, 3, 3)"
+
+
+def _unfit_mixed_sizes(tmp_path, images):
+    (tmp_path / "six").mkdir()
+    fit = flat_images(tmp_path / "six", size=6)
+    return ([(fit["a0"], fit["a1"], 1), (fit["b0"], images["b1"], 0)],
+            images["b1"], "(1, 6, 6)")
+
+
+# Each gets 3x3 images and a siamese checkpoint for 6x6 ones (which it may
+# overwrite), and returns the manifest rows, the first path that does not
+# fit and the checkpoint's input shape.
+UNFIT_EVALS = {
+    "siamese-smaller-images": _unfit_siamese_smaller,
+    "merged-rewritten-to-h-join": _unfit_merged_h_join,
+    "mixed-image-sizes": _unfit_mixed_sizes,
+}
+
+
+@pytest.mark.parametrize("case", list(UNFIT_EVALS))
+def test_eval_images_the_checkpoint_cannot_take_exit_two(tmp_path, capsys, case):
+    images = flat_images(tmp_path, size=3)
+    identity_checkpoint(tmp_path / "model.ckpt", size=6, threshold=1.0)
+    rows, bad_path, input_shape = UNFIT_EVALS[case](tmp_path, images)
+    manifest = tmp_path / "pairs.tsv"
+    manifest.write_text("".join(f"{a}\t{b}\t{y}\n" for a, b, y in rows))
+    assert cli.main(["eval", "--checkpoint", str(tmp_path / "model.ckpt"),
+                     "--pairs", str(manifest)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {bad_path}: image of shape (3, 3)" in captured.err
+    assert f"takes {input_shape}" in captured.err
 
 
 def test_eval_relative_paths_use_data_dir_env(tmp_path, capsys, monkeypatch):

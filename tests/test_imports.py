@@ -1,8 +1,12 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and every
+module-level private name is used somewhere in the package.
 
-An AST scan: a name bound by ``import`` or ``from ... import`` counts as
+AST scans.  A name bound by ``import`` or ``from ... import`` counts as
 used when the module loads it anywhere (as a bare name or as the base of
 an attribute chain), or, in ``__init__.py``, when ``__all__`` lists it.
+A private name (``_x``) bound by a top-level ``def``, ``class`` or
+assignment counts as used when any package module loads it as a bare
+name, reads it as an attribute (``T._EPS``) or imports it.
 """
 
 import ast
@@ -39,3 +43,47 @@ def test_scan_finds_a_stray_import():
     assert unused_imports("import os\nimport sys\nprint(sys.argv)\n") == [(1, "os")]
     assert unused_imports("from .x import a, b\n__all__ = ['a']\n") == [(1, "b")]
     assert unused_imports("import numpy as np\nnp.zeros(1)\n") == []
+
+
+def _private_definitions(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield node.lineno, name
+
+
+def _references(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def unreferenced_private_names(sources):
+    """(module, line, name) of each private top-level name in ``sources``
+    ({module: source text}) that no module references."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    used = {name for tree in trees.values() for name in _references(tree)}
+    return sorted((module, line, name) for module, tree in trees.items()
+                  for line, name in _private_definitions(tree) if name not in used)
+
+
+def test_package_uses_every_private_name():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    assert unreferenced_private_names(sources) == []
+
+
+def test_scan_finds_a_stray_private_name():
+    sources = {"a.py": "def _f():\n    pass\n_K = 1\n_J: int = 2\n__all__ = []\n",
+               "b.py": "from .a import _J\nimport a\na._K\n"}
+    assert unreferenced_private_names(sources) == [("a.py", 1, "_f")]

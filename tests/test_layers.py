@@ -1,6 +1,10 @@
+import inspect
+
 import numpy as np
 import pytest
 
+from oneshotid import capsules as C
+from oneshotid import checkpoint as ckpt
 from oneshotid import layers as L
 from oneshotid import tensor as T
 from oneshotid.errors import ShapeError
@@ -119,8 +123,8 @@ CONV_CASES = {
 def _conv_case(case, dtype=np.float64):
     """Random x, weights, bias and upstream gradient for a CONV_CASES entry."""
     (n, c, h, w), (o, kh, kw), stride, pad = CONV_CASES[case]
-    oh = L._out_extent(h, kh, stride[0], pad)
-    ow = L._out_extent(w, kw, stride[1], pad)
+    oh = (h + 2 * pad - kh) // stride[0] + 1
+    ow = (w + 2 * pad - kw) // stride[1] + 1
     rng = np.random.default_rng(11)
     shapes = [(n, c, h, w), (o, c, kh, kw), (o,), (n, o, oh, ow)]
     return [rng.normal(size=s).astype(dtype) for s in shapes], stride, pad
@@ -380,3 +384,33 @@ def test_builders_are_seed_deterministic():
         assert np.array_equal(pa.data, pb.data)
     c = L.build_merged_cnn((32, 32, 2), seed=12)
     assert not np.array_equal(a.params()[0].data, c.params()[0].data)
+
+
+# One small layer of each kind a checkpoint can hold, and an input shape
+# for it without the batch axis.
+PROTOCOL_CASES = {
+    "conv": (lambda: L.Conv2d(2, 3, kernel=3, stride=(1, 2), padding=1), (2, 5, 6)),
+    "maxpool": (lambda: L.MaxPool2d(2, stride=1), (2, 4, 5)),
+    "dense": (lambda: L.Dense(4, 3), (4,)),
+    "act": (lambda: L.Activation("leaky_relu"), (2, 3)),
+    "flatten": (L.Flatten, (2, 3, 4)),
+    "primary_caps": (lambda: C.PrimaryCapsuleLayer(2), (4, 3, 3)),
+    "high_caps": (lambda: C.HighLevelCapsuleLayer(6, 2, 3, 4, routing_iters=2), (6, 2)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ckpt._LAYER_CLASSES))
+def test_checkpoint_layer_class_follows_layer_protocol(kind):
+    cls = ckpt._LAYER_CLASSES[kind]
+    assert issubclass(cls, L.Layer)
+    params = inspect.signature(cls).parameters
+    assert [f for f in cls.spec_fields if f not in params] == []
+
+
+@pytest.mark.parametrize("kind", sorted(ckpt._LAYER_CLASSES))
+def test_out_shape_matches_forward(kind):
+    make, in_shape = PROTOCOL_CASES[kind]
+    layer = make()
+    assert layer.kind == kind
+    x = T.Tensor(np.random.default_rng(0).normal(size=(2, *in_shape)))
+    assert layer(x).shape == (2, *layer.out_shape(in_shape))
