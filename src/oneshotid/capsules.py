@@ -171,6 +171,9 @@ class HighLevelCapsuleLayer(Layer):
             rng = np.random.default_rng(0)
         if routing_iters < 1:
             raise ConfigError(f"routing needs at least 1 iteration, got {routing_iters}")
+        for name, size in (("n_in", n_in), ("n_p", n_p), ("n_out", n_out), ("d_out", d_out)):
+            if size < 1:
+                raise ConfigError(f"high-level capsules need {name} >= 1, got {size}")
         self.n_in = int(n_in)
         self.n_p = int(n_p)
         self.n_out = int(n_out)

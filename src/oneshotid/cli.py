@@ -111,15 +111,20 @@ def _resolve(path, data_dir):
 
 
 def _load_manifest_pairs(manifest_path, data_dir):
+    """(path a, path b, PairSample) per manifest row.  Each distinct
+    resolved path is read once, and every row naming it shares that array."""
     rows = read_pair_manifest(manifest_path)
     if not rows:
         raise DataError(f"pair manifest {manifest_path} is empty")
-    samples = []
-    for pa, pb, y in rows:
-        a = read_pgm(_resolve(pa, data_dir))
-        b = read_pgm(_resolve(pb, data_dir))
-        samples.append((pa, pb, PairSample(a, b, y)))
-    return samples
+    images = {}
+
+    def image(path):
+        path = _resolve(path, data_dir)
+        if path not in images:
+            images[path] = read_pgm(path)
+        return images[path]
+
+    return [(pa, pb, PairSample(image(pa), image(pb), y)) for pa, pb, y in rows]
 
 
 def _check_images_fit(model, samples):

@@ -17,6 +17,11 @@ distance of the two embeddings; its ``threshold`` is None and tau is
 chosen by ``choose_threshold``.  ``score_pairs`` is the one batched
 scoring pass, used by validation, ``evaluate_pairs``, the recipes and the
 ``eval`` command alike.
+
+Without a tape, DistancePairModel embeds each distinct image of a scoring
+chunk once and takes both sides of every pair from that table; no tower
+call takes more images than the chunk has pairs.  Under a tape it embeds
+all ``a`` views, then all ``b`` views, in two calls.
 """
 
 import math
@@ -38,7 +43,9 @@ _MONITORS = ("val_loss", "val_acc", "train_loss", "train_acc")
 
 # Pairs per forward pass when scoring without gradients.  It sets the size
 # of each conv layer's im2col matrix, which dominates peak memory while
-# scoring: 32 pairs keep it near 60 MB on the benchmark's merged CNN.
+# scoring: 32 pairs keep it near 60 MB on the benchmark's merged CNN.  A
+# siamese chunk embeds its distinct images once, in tower calls of at most
+# as many images as the chunk has pairs.
 SCORE_CHUNK = 32
 
 
@@ -178,6 +185,10 @@ def _chw(img):
     raise ShapeError(f"expected a 2-D or 3-D image, got shape {a.shape}")
 
 
+def _stack_chw(images, dtype):
+    return np.stack([_chw(img) for img in images]).astype(dtype, copy=False)
+
+
 class MergedPairModel:
     """A 2-logit classifier over merged pair images (class 1 = same)."""
 
@@ -239,11 +250,35 @@ class DistancePairModel:
             out = T.reshape(out, (out.shape[0], out.shape[1] * out.shape[2]))
         return out
 
+    def _embed_distinct(self, pairs, dtype):
+        """(e1, e2) of ``pairs`` with each distinct image embedded once, in
+        tower calls of at most ``len(pairs)`` images.
+
+        An image is keyed by its data pointer, shape, strides and dtype.
+        ``images`` keeps every array alive for the call, so equal keys
+        mean equal bytes.
+        """
+        images = [np.asarray(p.a) for p in pairs] + [np.asarray(p.b) for p in pairs]
+        slot, distinct, rows = {}, [], []
+        for img in images:
+            ai = img.__array_interface__
+            key = (ai["data"][0], ai["shape"], ai["strides"], ai["typestr"])
+            if key not in slot:
+                slot[key] = len(distinct)
+                distinct.append(img)
+            rows.append(slot[key])
+        n = len(pairs)
+        table = np.concatenate([self.embed(_stack_chw(distinct[i:i + n], dtype)).data
+                                for i in range(0, len(distinct), n)])
+        rows = np.array(rows)
+        return Tensor(table[rows[:n]]), Tensor(table[rows[n:]])
+
     def batch_stats(self, pairs, dtype):
-        xa = np.stack([_chw(p.a) for p in pairs]).astype(dtype, copy=False)
-        xb = np.stack([_chw(p.b) for p in pairs]).astype(dtype, copy=False)
-        e1 = self.embed(xa)
-        e2 = self.embed(xb)
+        if T.active_tape() is None:
+            e1, e2 = self._embed_distinct(pairs, dtype)
+        else:
+            e1 = self.embed(_stack_chw([p.a for p in pairs], dtype))
+            e2 = self.embed(_stack_chw([p.b for p in pairs], dtype))
         y = np.array([p.y for p in pairs], dtype=np.int64)
         loss = contrastive_loss(e1, e2, y, margin=self.margin)
         d = np.linalg.norm(e1.data - e2.data, axis=1)

@@ -269,6 +269,13 @@ class TestPrimaryCapsules:
         assert hot[0] == 6
 
 
+@pytest.mark.parametrize("field", ["n_in", "n_p", "n_out", "d_out"])
+def test_high_caps_rejects_sizes_below_one(field):
+    sizes = {"n_in": 6, "n_p": 2, "n_out": 3, "d_out": 4, field: 0}
+    with pytest.raises(ConfigError, match=f"{field} >= 1, got 0"):
+        C.HighLevelCapsuleLayer(**sizes)
+
+
 class TestBuildCapsnet:
     def test_primary_count_at_reference_geometry(self):
         stack = C.build_capsnet((28, 28, 1), n_classes=10, seed=1)

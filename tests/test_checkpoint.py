@@ -279,6 +279,24 @@ def test_capsnet_model_kind_is_format_error_and_eval_exits_two(tmp_path, capsys)
     assert "'capsnet'" in capsys.readouterr().err
 
 
+def test_empty_high_caps_spec_is_format_error_and_eval_exits_two(tmp_path, capsys):
+    path = tmp_path / "model.ckpt"
+    ckpt.save_model(path, capsule_tower(), extra={"approach": "siamese-capsnet",
+                                                  "margin": 1.0})
+
+    def zero_d_out(manifest):
+        manifest["stack"]["layers"][-1]["d_out"] = 0
+        return manifest
+
+    rewrite_manifest(path, zero_d_out)
+    with pytest.raises(FormatError, match="HighLevelCapsuleLayer spec .*d_out >= 1, got 0"):
+        ckpt.load_model(path)
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("a.pgm\tb.pgm\t1\n")
+    assert cli.main(["eval", "--checkpoint", str(path), "--pairs", str(pairs)]) == 2
+    assert "HighLevelCapsuleLayer spec" in capsys.readouterr().err
+
+
 def test_high_caps_routing_iters_survive(tmp_path):
     enc = build_capsnet((12, 12, 1), n_classes=2, d_out=3, conv_channels=(4, 4),
                         kernels=(3, 3), strides=(1, 2), n_p=2, routing_iters=5)

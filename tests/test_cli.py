@@ -10,6 +10,7 @@ from oneshotid import layers as L
 from oneshotid.checkpoint import read_checkpoint, save_model, write_checkpoint
 from oneshotid.datasets import read_pgm, write_pgm
 from oneshotid.errors import DataError
+from oneshotid.pairing import PairSample, read_pair_manifest
 from oneshotid.tensor import Tensor
 
 RECIPE = """
@@ -392,6 +393,47 @@ def test_eval_siamese_checkpoint_without_threshold_sweeps_manifest(tmp_path, cap
         assert f[3] == str(int(dist < tau))
         assert f[4] == str(y)
     assert summary == f"accuracy={best:.6g}"
+
+
+def _read_per_row(manifest_path, data_dir):
+    """The manifest loader with a fresh read of both images of every row."""
+    return [(pa, pb, PairSample(cli.read_pgm(cli._resolve(pa, data_dir)),
+                                cli.read_pgm(cli._resolve(pb, data_dir)), y))
+            for pa, pb, y in read_pair_manifest(manifest_path)]
+
+
+@pytest.mark.parametrize("identify", [False, True], ids=["pairs", "identify"])
+def test_eval_reads_each_manifest_path_once(tmp_path, capsys, monkeypatch, identify):
+    rng = np.random.default_rng(8)
+    names = [f"g{i}.pgm" for i in range(5)]
+    for name in names:
+        write_pgm(str(tmp_path / name), rng.uniform(0.1, 0.9, size=(6, 6)))
+    tower = L.LayerStack([L.Flatten(), L.Dense(36, 4, rng=rng)], (1, 6, 6))
+    ckpt = tmp_path / "tower.ckpt"
+    save_model(str(ckpt), tower, extra={"approach": "siamese-cnn", "margin": 1.0})
+    # Two queries against every gallery image, a self pair among them.
+    rows = [(q, g, int(q == g)) for q in names[:2] for g in names]
+    manifest = tmp_path / "pairs.tsv"
+    manifest.write_text("".join(f"{a}\t{b}\t{y}\n" for a, b, y in rows))
+    argv = ["eval", "--checkpoint", str(ckpt), "--pairs", str(manifest),
+            "--data-dir", str(tmp_path)] + (["--identify"] if identify else [])
+
+    reads = []
+    read = cli.read_pgm
+
+    def spy(path):
+        reads.append(path)
+        return read(path)
+
+    monkeypatch.setattr(cli, "read_pgm", spy)
+    assert cli.main(argv) == 0
+    shared = capsys.readouterr().out
+    assert sorted(reads) == sorted(str(tmp_path / name) for name in names)
+
+    monkeypatch.setattr(cli, "_load_manifest_pairs", _read_per_row)
+    assert cli.main(argv) == 0
+    assert len(reads) == len(names) + 2 * len(rows)
+    assert capsys.readouterr().out == shared
 
 
 ROUND_TRIP_RECIPE = """

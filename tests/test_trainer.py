@@ -7,9 +7,10 @@ from oneshotid import layers as L
 from oneshotid import trainer as tr
 from oneshotid.datasets import Dataset
 from oneshotid.errors import ConfigError, DataError, NumericError, ShapeError
+from oneshotid.losses import contrastive_loss
 from oneshotid.pairing import PairSample
 from oneshotid.rng import derive_rng
-from oneshotid.tensor import Tensor
+from oneshotid.tensor import Tape, Tensor
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +500,99 @@ def test_score_pairs_chunks_match_one_batch():
     np.testing.assert_allclose(d, stats["distances"], rtol=1e-12)
     assert np.array_equal(y, stats["labels"])
     assert loss == pytest.approx(float(whole_loss.data), rel=1e-12)
+
+
+def scoring_tower(kind, dtype):
+    """(model in ``dtype``, image side it takes)."""
+    from oneshotid.capsules import build_capsnet
+
+    if kind == "siamese-cnn":
+        model, size = tr.DistancePairModel(L.build_siamese_tower((20, 20, 1), seed=4)), 20
+    else:
+        model, size = tr.DistancePairModel(build_capsnet(
+            (12, 12, 1), n_classes=3, d_out=4, conv_channels=(8, 8), kernels=(3, 3),
+            strides=(1, 2), n_p=4, routing_iters=2, seed=4)), 12
+    for p in model.params():
+        p.data = p.data.astype(dtype)
+    return model, size
+
+
+def pool_pairs(pool, picks, seed=0):
+    """PairSamples over views of ``pool``: pool[i] is a new view of the same
+    bytes on every call, and a pick (i, i) pairs one array with itself."""
+    ys = derive_rng(seed, "pool-labels").integers(0, 2, size=len(picks))
+    pairs = []
+    for (i, j), y in zip(picks, ys):
+        a = pool[i]
+        pairs.append(PairSample(a, a if i == j else pool[j], int(y)))
+    return pairs
+
+
+def embed_each_side(model, pairs, dtype):
+    """Reference scoring: per SCORE_CHUNK, one tower call over every pair's
+    a and one over every pair's b, repeats and all."""
+    total, dists = 0.0, []
+    for i in range(0, len(pairs), tr.SCORE_CHUNK):
+        chunk = pairs[i:i + tr.SCORE_CHUNK]
+        e1 = model.embed(np.stack([p.a[None] for p in chunk]).astype(dtype))
+        e2 = model.embed(np.stack([p.b[None] for p in chunk]).astype(dtype))
+        y = np.array([p.y for p in chunk])
+        total += float(contrastive_loss(e1, e2, y, margin=model.margin).data) * len(chunk)
+        dists.append(np.linalg.norm(e1.data - e2.data, axis=1))
+    return total / len(pairs), np.concatenate(dists)
+
+
+SCORING_LISTS = {
+    # 12 images in 45 pairs: repeats inside each chunk, several a-is-b pairs.
+    "repeated": (12, [(i % 12, (i * 5 + i // 12) % 12) for i in range(45)]),
+    # Every image appears once.
+    "distinct": (90, [(2 * i, 2 * i + 1) for i in range(45)]),
+}
+
+
+@pytest.mark.parametrize("kind", ["siamese-cnn", "siamese-capsnet"])
+@pytest.mark.parametrize("dtype,rtol", [(np.float64, 1e-12), (np.float32, 1e-5)],
+                         ids=["float64", "float32"])
+@pytest.mark.parametrize("case", list(SCORING_LISTS))
+def test_score_pairs_matches_embedding_each_side(kind, dtype, rtol, case):
+    n_images, picks = SCORING_LISTS[case]
+    model, size = scoring_tower(kind, dtype)
+    pool = derive_rng(1, "pool").uniform(0.0, 1.0, size=(n_images, size, size))
+    pairs = pool_pairs(pool, picks)
+    if case == "repeated":
+        assert any(p.a is p.b for p in pairs)
+    loss, d, y = tr.score_pairs(model, pairs)
+    ref_loss, ref_d = embed_each_side(model, pairs, dtype)
+    assert d.dtype == dtype
+    np.testing.assert_allclose(d, ref_d, rtol=rtol, atol=0.0)
+    assert loss == pytest.approx(ref_loss, rel=rtol)
+    assert np.array_equal(y, [p.y for p in pairs])
+
+
+def test_score_pairs_embeds_each_distinct_image_of_a_chunk_once(monkeypatch):
+    sizes = []
+    embed = tr.DistancePairModel.embed
+
+    def spy(model, images):
+        sizes.append(len(images))
+        return embed(model, images)
+
+    monkeypatch.setattr(tr.DistancePairModel, "embed", spy)
+    model = siamese_toy_model()
+    pool = derive_rng(2, "pool").uniform(0.0, 1.0, size=(80, 6, 6))
+    # Chunk 1 holds 3 distinct images, chunk 2 holds 64, and the last chunk
+    # of 5 pairs holds 7: no call takes more images than its chunk has pairs.
+    picks = [(i % 3, (i + 1) % 3) for i in range(32)]
+    picks += [(10 + 2 * i, 11 + 2 * i) for i in range(32)]
+    picks += [(0, 0), (1, 2), (3, 4), (5, 6), (6, 5)]
+    pairs = pool_pairs(pool, picks)
+    tr.score_pairs(model, pairs)
+    assert sizes == [3, 32, 32, 5, 2]
+
+    sizes.clear()
+    with Tape():
+        model.batch_stats(pairs[:8], np.float64)
+    assert sizes == [8, 8]
 
 
 def test_merged_margin_threshold_matches_argmax():
