@@ -1,10 +1,10 @@
 """Artifact files that are either the old bytes or the complete new ones.
 
-Checkpoints, reports, manifests, PGM images and augmentation sidecars are
-written through ``atomic_open``: the bytes go to a temporary file next to
-the target, which then replaces the target in one ``os.replace``.  A run
-that fails or is interrupted while writing leaves the previous file as it
-was and no temporary file behind.
+Checkpoints, reports, manifests, PGM images, matrix files and augmentation
+sidecars are written through ``atomic_open``: the bytes go to a temporary
+file next to the target, which then replaces the target in one
+``os.replace``.  A run that fails or is interrupted while writing leaves
+the previous file as it was and no temporary file behind.
 """
 
 import os

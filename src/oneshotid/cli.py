@@ -91,7 +91,7 @@ def cmd_train(args, force_kfold=False):
     command = "crossval" if force_kfold else "train"
     result = run_experiment(recipe, args.data_dir, args.out, command=command)
     summary = result["summary"]
-    if "std" in summary:
+    if recipe.protocol == "kfold":
         print(f"folds={len(result['reports'])} "
               f"mean_accuracy={summary['mean']:.6g} std={summary['std']:.6g}")
     else:

@@ -118,7 +118,7 @@ def write_matrix(path, array):
         raise FormatError(f"dtype {arr.dtype} has no matrix type code")
     arr = arr.astype(key, copy=False)
     extents = list(arr.shape) + [1] * max(0, 3 - arr.ndim)
-    with open(path, "wb") as f:
+    with atomic_open(path, "wb") as f:
         f.write(struct.pack("<ii", _MATRIX_CODE[key], arr.ndim))
         f.write(struct.pack(f"<{len(extents)}i", *extents))
         f.write(arr.tobytes())
@@ -239,17 +239,15 @@ def read_pgm(path):
     return raw.astype(np.float64) / maxval
 
 
-def write_pgm(path, image, maxval=255):
-    """Write a [0,1] grayscale image as binary PGM; inverse of read_pgm."""
+def write_pgm(path, image):
+    """Write a [0,1] grayscale image as an 8-bit binary PGM; inverse of
+    read_pgm up to the 1/255 quantisation."""
     img = np.asarray(image)
     if img.ndim != 2:
         raise FormatError(f"PGM images are 2-D, got shape {img.shape}")
-    if not 0 < maxval < 65536:
-        raise FormatError(f"maxval {maxval} out of range")
-    q = np.rint(np.clip(img, 0.0, 1.0) * maxval)
-    q = q.astype(">u2" if maxval > 255 else "u1")
+    q = np.rint(np.clip(img, 0.0, 1.0) * 255).astype(np.uint8)
     with atomic_open(path, "wb") as f:
-        f.write(f"P5\n{img.shape[1]} {img.shape[0]}\n{maxval}\n".encode())
+        f.write(f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode())
         f.write(q.tobytes())
 
 
@@ -418,7 +416,7 @@ def downscale_dataset(dataset, factor):
     return out
 
 
-def export_pgm_tree(dataset, dir_, maxval=255):
+def export_pgm_tree(dataset, dir_):
     """Write a grayscale dataset as ``s<class>/<index>.pgm`` under dir_."""
     if dataset.images.ndim != 3:
         raise ConfigError(f"PGM export needs grayscale [N,H,W], got {dataset.image_shape}")
@@ -430,6 +428,6 @@ def export_pgm_tree(dataset, dir_, maxval=255):
         os.makedirs(sub, exist_ok=True)
         counters[cls] = counters.get(cls, 0) + 1
         p = os.path.join(sub, f"{counters[cls]}.pgm")
-        write_pgm(p, img, maxval=maxval)
+        write_pgm(p, img)
         paths.append(p)
     return paths

@@ -21,8 +21,6 @@ class PairSample:
     a: np.ndarray
     b: np.ndarray
     y: int
-    index_a: int = -1
-    index_b: int = -1
 
 
 # How ``merge`` combines the two images of a pair.
@@ -60,7 +58,8 @@ def sample_pairs(dataset, n_pairs, balance=0.5, rng_seed=0):
     """Draw a balanced list of same/different pairs.
 
     Returns exactly ``n_pairs`` samples, round(balance * n_pairs) of them
-    same-class; an image is never paired with itself.  Deterministic under
+    same-class; an image is never paired with itself.  Each side is a view
+    of its row of ``dataset.images``, not a copy.  Deterministic under
     ``rng_seed``.
     """
     if not 0.0 <= balance <= 1.0:
@@ -81,19 +80,15 @@ def sample_pairs(dataset, n_pairs, balance=0.5, rng_seed=0):
 
     rng = derive_rng(rng_seed, "pairs")
     out = []
-
-    def emit(ia, ib, y):
-        out.append(PairSample(dataset.images[ia], dataset.images[ib], y, ia, ib))
-
     for _ in range(n_same):
         cls = int(rng.choice(rich))
         ia, ib = rng.choice(members[cls], size=2, replace=False)
-        emit(int(ia), int(ib), 1)
+        out.append(PairSample(dataset.images[ia], dataset.images[ib], 1))
     for _ in range(n_diff):
         ca, cb = rng.choice(classes, size=2, replace=False)
-        ia = int(rng.choice(members[int(ca)]))
-        ib = int(rng.choice(members[int(cb)]))
-        emit(ia, ib, 0)
+        ia = rng.choice(members[int(ca)])
+        ib = rng.choice(members[int(cb)])
+        out.append(PairSample(dataset.images[ia], dataset.images[ib], 0))
     return out
 
 

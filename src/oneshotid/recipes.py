@@ -26,8 +26,7 @@ from .layers import build_merged_cnn, build_siamese_tower
 from .pairing import MERGE_MODES, class_subset, holdout_split, merge, sample_pairs
 from .rng import derive_seed
 from .trainer import (DistancePairModel, MergedPairModel, TrainConfig,
-                      choose_threshold, crossvalidate, evaluate_pairs, score_pairs,
-                      train)
+                      choose_threshold, evaluate_pairs, score_pairs, train)
 
 DATASETS = ("smallnorb", "att-faces", "synthetic-anodes")
 PROTOCOLS = ("kfold", "holdout")
@@ -326,15 +325,6 @@ def _run_single(recipe, train_ds, eval_ds, config, out_dir=None, tag=""):
     return report, model
 
 
-def make_fold_runner(recipe, out_dir=None):
-    def runner(fold, train_ds, val_ds, config):
-        report, _ = _run_single(recipe, train_ds, val_ds, config,
-                                out_dir=out_dir, tag=f"fold-{fold}")
-        return report
-
-    return runner
-
-
 def dataset_hash(dataset):
     h = hashlib.sha256()
     h.update(np.ascontiguousarray(dataset.images).tobytes())
@@ -361,16 +351,36 @@ def _start_run(recipe, data_dir, out_dir, command):
 
 def run_experiment(recipe, data_dir, out_dir, command="train"):
     """Execute a recipe end to end; returns a result dict and writes run
-    artifacts (reports, checkpoints, manifest) under out_dir."""
+    artifacts (reports, checkpoints, manifest) under out_dir.
+
+    Under k-fold each fold trains with a seed derived from (recipe seed,
+    fold), so a fold's results do not depend on the folds run before it.
+    A fold's failure keeps its type: the fold index is prefixed to a
+    single-string message, or else added as a note.
+    """
     dataset, entries = _start_run(recipe, data_dir, out_dir, command)
     entries += recipe_items(recipe)
 
     if recipe.protocol == "kfold":
-        reports, summary = crossvalidate(make_fold_runner(recipe, out_dir),
-                                         dataset, recipe.folds, recipe.train)
-        for fold, report in enumerate(reports):
+        reports = []
+        for fold in range(recipe.folds):
+            train_ds, val_ds = kfold_split(dataset, recipe.folds, fold, seed=recipe.seed)
+            config = dataclasses.replace(recipe.train,
+                                         seed=derive_seed(recipe.seed, "fold", fold))
+            try:
+                report, _ = _run_single(recipe, train_ds, val_ds, config,
+                                        out_dir=out_dir, tag=f"fold-{fold}")
+            except Exception as exc:
+                if len(exc.args) == 1 and isinstance(exc.args[0], str):
+                    exc.args = (f"fold {fold}: {exc.args[0]}",)
+                else:
+                    exc.add_note(f"in fold {fold}")
+                raise
+            reports.append(report)
             entries.append((f"fold.{fold}.seed", report.seed))
-            entries.append((f"fold.{fold}.accuracy", summary["per_fold"][fold]))
+            entries.append((f"fold.{fold}.accuracy", report.test_accuracy))
+        accs = [report.test_accuracy for report in reports]
+        summary = {"mean": float(np.mean(accs)), "std": float(np.std(accs))}
         entries.append(("summary.mean", summary["mean"]))
         entries.append(("summary.std", summary["std"]))
         result = {"reports": reports, "summary": summary}

@@ -1,6 +1,6 @@
 """Training and evaluation: one optimisation loop (``_epochs``) for pair
-and reconstruction training, early stopping, pair accuracy, and k-fold
-orchestration.
+and reconstruction training, early stopping, and pair scoring and
+accuracy.
 
 Two model wrappers adapt the network zoo to a common batch interface:
 MergedPairModel feeds merged two-view images to a 2-logit classifier and
@@ -26,17 +26,16 @@ all ``a`` views, then all ``b`` views, in two calls.
 
 import math
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .atomic import atomic_open
-from .datasets import kfold_split
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .losses import contrastive_loss, cross_entropy, reconstruction_loss
 from .pairing import merge
-from .rng import derive_rng, derive_seed
+from .rng import derive_rng
 from .tensor import Tape, Tensor, backward
 
 _MONITORS = ("val_loss", "val_acc", "train_loss", "train_acc")
@@ -294,8 +293,10 @@ def _check_loss_kind(model, loss_kind):
 
 
 def _batches(order, batch_size):
+    """Consecutive batches of ``order``; a lone leftover example after
+    full batches of two or more is dropped."""
     chunks = [order[i:i + batch_size] for i in range(0, len(order), batch_size)]
-    if len(chunks) > 1 and len(chunks[-1]) < 2:
+    if batch_size > 1 and len(chunks) > 1 and len(chunks[-1]) == 1:
         chunks = chunks[:-1]
     return chunks
 
@@ -486,38 +487,3 @@ def train_reconstruction(model, images, config, weight=0.0005):
     history = [loss for loss, _ in _epochs(model, len(imgs), config, "recon", step)]
     model.recon_loss = history[-1]
     return history
-
-
-# ---------------------------------------------------------------------------
-# cross-validation
-# ---------------------------------------------------------------------------
-
-def crossvalidate(fold_runner, dataset, k, config):
-    """Run ``fold_runner(fold, train_ds, val_ds, fold_config)`` per fold.
-
-    Each fold gets a seed derived from (config.seed, fold), so results do
-    not depend on execution order.  The runner returns a RunReport whose
-    ``test_accuracy`` feeds the mean/std summary.  A fold failure is
-    re-raised as the same exception with the fold index prefixed to its
-    message (or, when it has no single-string message, added as a note).
-    """
-    reports = []
-    for fold in range(k):
-        train_ds, val_ds = kfold_split(dataset, k, fold, seed=config.seed)
-        fold_config = replace(config, seed=derive_seed(config.seed, "fold", fold))
-        try:
-            report = fold_runner(fold, train_ds, val_ds, fold_config)
-        except Exception as exc:
-            if len(exc.args) == 1 and isinstance(exc.args[0], str):
-                exc.args = (f"fold {fold}: {exc.args[0]}",)
-            else:
-                exc.add_note(f"in fold {fold}")
-            raise
-        reports.append(report)
-    accs = [float(report.test_accuracy) for report in reports]
-    summary = {
-        "mean": float(np.mean(accs)),
-        "std": float(np.std(accs)),
-        "per_fold": accs,
-    }
-    return reports, summary

@@ -43,6 +43,7 @@ WRITERS = {
     "summary": lambda p: _report().write_summary(p),
     "manifest": lambda p: recipes.write_manifest(p, [("a", 1), ("b", 2)]),
     "pgm": lambda p: datasets.write_pgm(p, np.full((4, 3), 0.5)),
+    "matrix": lambda p: datasets.write_matrix(p, np.arange(6, dtype=np.int32).reshape(2, 3)),
     "sidecar": lambda p: augment.write_sidecar(p, {"angle": 12.5, "seed": 7}),
 }
 

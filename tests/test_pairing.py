@@ -66,6 +66,20 @@ def _dataset(n_classes=5, per_class=4, seed=0):
     )
 
 
+def _row(ds, view):
+    """The row of ``ds.images`` that ``view`` is, found from its offset.
+
+    Asserts that ``view`` shares that row's memory, so a copied image
+    fails here.
+    """
+    offset = (view.__array_interface__["data"][0]
+              - ds.images.__array_interface__["data"][0])
+    row, rest = divmod(offset, ds.images.strides[0])
+    assert rest == 0 and 0 <= row < len(ds.images)
+    assert np.shares_memory(view, ds.images[row])
+    return row
+
+
 class TestSamplePairs:
     def test_balanced_counts(self):
         pairs = P.sample_pairs(_dataset(), 100, balance=0.5, rng_seed=1)
@@ -90,20 +104,21 @@ class TestSamplePairs:
             P.sample_pairs(ds, 10, balance=0.5)
 
     def test_deterministic(self):
-        a = P.sample_pairs(_dataset(), 30, rng_seed=7)
-        b = P.sample_pairs(_dataset(), 30, rng_seed=7)
+        ds_a, ds_b = _dataset(), _dataset()
+        a = P.sample_pairs(ds_a, 30, rng_seed=7)
+        b = P.sample_pairs(ds_b, 30, rng_seed=7)
         for pa, pb in zip(a, b):
-            assert pa.index_a == pb.index_a
-            assert pa.index_b == pb.index_b
+            assert _row(ds_a, pa.a) == _row(ds_b, pb.a)
+            assert _row(ds_a, pa.b) == _row(ds_b, pb.b)
             assert pa.y == pb.y
 
     def test_labels_and_no_self_pairs(self):
         ds = _dataset(n_classes=6, per_class=3, seed=3)
         pairs = P.sample_pairs(ds, 200, balance=0.4, rng_seed=4)
         for p in pairs:
-            assert p.index_a != p.index_b
-            same = ds.class_ids[p.index_a] == ds.class_ids[p.index_b]
-            assert p.y == int(same)
+            ia, ib = _row(ds, p.a), _row(ds, p.b)
+            assert ia != ib
+            assert p.y == int(ds.class_ids[ia] == ds.class_ids[ib])
 
     def test_zero_pairs(self):
         assert P.sample_pairs(_dataset(), 0) == []
@@ -112,8 +127,8 @@ class TestSamplePairs:
         ds = _dataset()
         pairs = P.sample_pairs(ds, 5, rng_seed=6)
         for p in pairs:
-            assert np.array_equal(p.a, ds.images[p.index_a])
-            assert np.array_equal(p.b, ds.images[p.index_b])
+            assert np.array_equal(p.a, ds.images[_row(ds, p.a)])
+            assert np.array_equal(p.b, ds.images[_row(ds, p.b)])
 
 
 class TestHoldout:

@@ -3,9 +3,9 @@ import pytest
 
 from oneshotid import recipes as rc
 from oneshotid.datasets import Dataset, write_matrix
-from oneshotid.errors import ConfigError
-from oneshotid.rng import derive_rng
-from oneshotid.trainer import DistancePairModel, MergedPairModel
+from oneshotid.errors import ConfigError, DataError
+from oneshotid.rng import derive_rng, derive_seed
+from oneshotid.trainer import DistancePairModel, MergedPairModel, RunReport
 
 FULL_RECIPE = """
 [experiment]
@@ -271,6 +271,89 @@ def test_run_experiment_kfold_writes_artifacts(tmp_path):
     assert "dataset_sha256" in entries
     assert "fold.0.seed" in entries
     assert "summary.mean" in entries
+
+
+def stub_folds(monkeypatch, accs, failures=None):
+    """Replace ``_run_single`` with a stub that gives fold i the test
+    accuracy ``accs[i]``, or raises ``failures[i]``.  Returns the list of
+    (tag, seed, train hash, validation hash) per call."""
+    calls = []
+
+    def run(recipe, train_ds, eval_ds, config, out_dir=None, tag=""):
+        fold = len(calls)
+        calls.append((tag, config.seed, rc.dataset_hash(train_ds), rc.dataset_hash(eval_ds)))
+        if failures and fold in failures:
+            raise failures[fold]
+        report = RunReport(train_loss=[0.1], train_acc=[1.0], val_loss=[0.2],
+                           val_acc=[accs[fold]], wall_time=0.0, seed=config.seed,
+                           config=config.snapshot())
+        report.test_accuracy = accs[fold]
+        return report, None
+
+    monkeypatch.setattr(rc, "_run_single", run)
+    return calls
+
+
+def manifest_entries(run_dir):
+    text = (run_dir / "manifest.txt").read_text()
+    return dict(line.split("=", 1) for line in text.splitlines())
+
+
+def test_run_experiment_kfold_runs_each_fold(tmp_path, monkeypatch):
+    accs = [0.5, 0.75, 1.0]
+    calls = stub_folds(monkeypatch, accs)
+    recipe = small_recipe(folds=3)
+    result = rc.run_experiment(recipe, None, tmp_path / "run")
+    assert [tag for tag, *_ in calls] == ["fold-0", "fold-1", "fold-2"]
+    assert [r.test_accuracy for r in result["reports"]] == accs
+    entries = manifest_entries(tmp_path / "run")
+    for fold, acc in enumerate(accs):
+        assert entries[f"fold.{fold}.seed"] == str(derive_seed(recipe.seed, "fold", fold))
+        assert entries[f"fold.{fold}.accuracy"] == str(acc)
+
+
+def test_run_experiment_kfold_summary_is_mean_and_std(tmp_path, monkeypatch):
+    accs = [0.5, 0.75, 1.0]
+    stub_folds(monkeypatch, accs)
+    summary = rc.run_experiment(small_recipe(folds=3), None, tmp_path / "run")["summary"]
+    assert abs(summary["mean"] - np.mean(accs)) <= 1e-12
+    assert abs(summary["std"] - np.std(accs)) <= 1e-12
+    entries = manifest_entries(tmp_path / "run")
+    assert entries["summary.mean"] == str(summary["mean"])
+    assert entries["summary.std"] == str(summary["std"])
+
+
+def test_run_experiment_fold_seeds_are_order_independent(tmp_path, monkeypatch):
+    recipe = small_recipe(folds=4, seed=21)
+    first = stub_folds(monkeypatch, [0.5] * 4)
+    rc.run_experiment(recipe, None, tmp_path / "a")
+    again = stub_folds(monkeypatch, [0.5] * 4)
+    rc.run_experiment(recipe, None, tmp_path / "b")
+    assert again == first
+    # a fold's seed and split depend on (recipe seed, fold) alone
+    assert [seed for _, seed, _, _ in first] == [derive_seed(21, "fold", f) for f in range(4)]
+    assert len({seed for _, seed, _, _ in first}) == 4
+    assert len({val for *_, val in first}) == 4
+
+
+def test_run_experiment_tags_fold_errors_with_fold(tmp_path, monkeypatch):
+    stub_folds(monkeypatch, [0.5] * 4, failures={2: DataError("synthetic failure")})
+    with pytest.raises(DataError, match=r"^fold 2: synthetic failure$"):
+        rc.run_experiment(small_recipe(folds=4), None, tmp_path / "run")
+
+
+def test_run_experiment_fold_error_keeps_type_and_adds_fold(tmp_path, monkeypatch):
+    stub_folds(monkeypatch, [0.5] * 4, failures={1: KeyError("monitor")})
+    with pytest.raises(KeyError) as info:
+        rc.run_experiment(small_recipe(folds=4), None, tmp_path / "a")
+    assert str(info.value) == "'fold 1: monitor'"
+
+    bad_bytes = UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
+    stub_folds(monkeypatch, [0.5] * 4, failures={1: bad_bytes})
+    with pytest.raises(UnicodeDecodeError) as info:
+        rc.run_experiment(small_recipe(folds=4), None, tmp_path / "b")
+    assert info.value.reason == "invalid start byte"
+    assert "in fold 1" in info.value.__notes__
 
 
 def test_run_experiment_holdout(tmp_path):

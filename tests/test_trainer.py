@@ -5,7 +5,6 @@ import pytest
 
 from oneshotid import layers as L
 from oneshotid import trainer as tr
-from oneshotid.datasets import Dataset
 from oneshotid.errors import ConfigError, DataError, NumericError, ShapeError
 from oneshotid.losses import contrastive_loss
 from oneshotid.pairing import PairSample
@@ -345,6 +344,9 @@ def test_ragged_final_batch_of_one_is_dropped():
     assert [len(c) for c in chunks] == [4, 4, 2]
     chunks = tr._batches(np.arange(1), 4)
     assert [len(c) for c in chunks] == [1]
+    # batches of one keep every example
+    chunks = tr._batches(np.arange(5), 1)
+    assert [c.tolist() for c in chunks] == [[0], [1], [2], [3], [4]]
 
 
 # ---------------------------------------------------------------------------
@@ -603,119 +605,6 @@ def test_merged_margin_threshold_matches_argmax():
     logits = model.stack(Tensor(x)).data
     argmax_acc = int((np.argmax(logits, axis=1) == y).sum()) / len(pairs)
     assert tr.evaluate_pairs(model, pairs) == argmax_acc
-
-
-# ---------------------------------------------------------------------------
-# cross-validation
-# ---------------------------------------------------------------------------
-
-def grid_dataset(n_classes=4, per_class=6, size=6):
-    rng = derive_rng(0, "grid")
-    images = []
-    ids = []
-    for c in range(n_classes):
-        for _ in range(per_class):
-            images.append(c / n_classes + rng.normal(0, 0.01, size=(size, size)))
-            ids.append(c)
-    return Dataset(np.array(images), np.array(ids), source="grid")
-
-
-def fake_runner(accs):
-    def run(fold, train_ds, val_ds, cfg):
-        report = tr.RunReport(
-            train_loss=[0.1], train_acc=[1.0], val_loss=[0.2], val_acc=[accs[fold]],
-            wall_time=0.0, seed=cfg.seed, config=cfg.snapshot(),
-        )
-        report.test_accuracy = accs[fold]
-        return report
-
-    return run
-
-
-def test_crossvalidate_produces_k_reports():
-    ds = grid_dataset()
-    accs = [0.5, 0.75, 1.0]
-    reports, summary = tr.crossvalidate(fake_runner(accs), ds, 3, tr.TrainConfig())
-    assert len(reports) == 3
-    assert summary["per_fold"] == accs
-
-
-def test_crossvalidate_mean_matches_arithmetic():
-    ds = grid_dataset()
-    accs = [0.5, 0.75, 1.0]
-    _, summary = tr.crossvalidate(fake_runner(accs), ds, 3, tr.TrainConfig())
-    assert abs(summary["mean"] - np.mean(accs)) <= 1e-12
-    assert abs(summary["std"] - np.std(accs)) <= 1e-12
-
-
-def test_crossvalidate_fold_seeds_are_order_independent():
-    ds = grid_dataset()
-    seen = {}
-
-    def recorder(fold, train_ds, val_ds, cfg):
-        seen[fold] = (cfg.seed, tuple(sorted(val_ds.class_ids.tolist())))
-        return fake_runner([0.5] * 4)(fold, train_ds, val_ds, cfg)
-
-    tr.crossvalidate(recorder, ds, 4, tr.TrainConfig(seed=21))
-    first = dict(seen)
-    seen.clear()
-    tr.crossvalidate(recorder, ds, 4, tr.TrainConfig(seed=21))
-    assert seen == first
-    assert len({v[0] for v in seen.values()}) == 4
-
-
-def test_crossvalidate_tags_errors_with_fold():
-    ds = grid_dataset()
-
-    def bad_runner(fold, train_ds, val_ds, cfg):
-        if fold == 2:
-            raise DataError("synthetic failure")
-        return fake_runner([0.5] * 4)(fold, train_ds, val_ds, cfg)
-
-    with pytest.raises(DataError, match=r"fold 2"):
-        tr.crossvalidate(bad_runner, ds, 4, tr.TrainConfig())
-
-
-def test_crossvalidate_keeps_exception_type_and_adds_fold():
-    ds = grid_dataset()
-
-    def raising(exc):
-        def run(fold, train_ds, val_ds, cfg):
-            if fold == 1:
-                raise exc
-            return fake_runner([0.5] * 4)(fold, train_ds, val_ds, cfg)
-
-        return run
-
-    with pytest.raises(KeyError) as info:
-        tr.crossvalidate(raising(KeyError("monitor")), ds, 4, tr.TrainConfig())
-    assert str(info.value) == "'fold 1: monitor'"
-
-    bad_bytes = UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
-    with pytest.raises(UnicodeDecodeError) as info:
-        tr.crossvalidate(raising(bad_bytes), ds, 4, tr.TrainConfig())
-    assert info.value.reason == "invalid start byte"
-    assert "in fold 1" in info.value.__notes__
-
-
-def test_crossvalidate_end_to_end_on_toy_data():
-    ds = grid_dataset(n_classes=3, per_class=6)
-
-    def runner(fold, train_ds, val_ds, cfg):
-        fold_cfg = dataclasses.replace(cfg, lr=1e-2, epochs=2, batch_size=8)
-        from oneshotid.pairing import sample_pairs
-
-        train_pairs = sample_pairs(train_ds, 16, rng_seed=fold_cfg.seed)
-        val_pairs = sample_pairs(val_ds, 8, rng_seed=fold_cfg.seed + 1)
-        model = merged_toy_model()
-        report = tr.train(model, train_pairs, "cross_entropy", fold_cfg,
-                          val_pairs=val_pairs)
-        report.test_accuracy = tr.evaluate_pairs(model, val_pairs)
-        return report
-
-    reports, summary = tr.crossvalidate(runner, ds, 3, tr.TrainConfig(seed=13))
-    assert len(reports) == 3
-    assert 0.0 <= summary["mean"] <= 1.0
 
 
 # ---------------------------------------------------------------------------
