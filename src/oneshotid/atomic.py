@@ -4,7 +4,9 @@ Checkpoints, reports, manifests, PGM images, matrix files and augmentation
 sidecars are written through ``atomic_open``: the bytes go to a temporary
 file next to the target, which then replaces the target in one
 ``os.replace``.  A run that fails or is interrupted while writing leaves
-the previous file as it was and no temporary file behind.
+the previous file as it was and no temporary file behind.  Run summaries,
+manifests and sidecars share one ``key=value`` line format, written by
+``write_key_values``.
 """
 
 import os
@@ -34,3 +36,11 @@ def atomic_open(path, mode="w", **kwargs):
         except FileNotFoundError:
             pass
         raise
+
+
+def write_key_values(path, items):
+    """Write ``(key, value)`` pairs as ``key=value`` lines, in the given
+    order, atomically, as UTF-8 with LF line endings."""
+    with atomic_open(path, "w", encoding="utf-8", newline="\n") as f:
+        for key, value in items:
+            f.write(f"{key}={value}\n")

@@ -12,7 +12,6 @@ import math
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
-from .atomic import atomic_open
 from .errors import ConfigError
 from .rng import derive_rng
 
@@ -135,6 +134,10 @@ class AugmentConfig:
                  background=0.0, seed=0):
         self.rotation = _range("rotation", rotation)
         self.brightness = _range("brightness", brightness)
+        if not (-1.0 <= self.brightness[0] and self.brightness[1] <= 1.0):
+            raise ConfigError(f"brightness range must lie within [-1, 1], got {brightness}")
+        if not all(float(v).is_integer() for v in burn_count):
+            raise ConfigError(f"burn count bounds must be whole numbers, got {burn_count}")
         lo, hi = (int(v) for v in burn_count)
         if lo < 0 or lo > hi:
             raise ConfigError(f"burn count range must satisfy 0 <= lo <= hi, got {burn_count}")
@@ -152,10 +155,9 @@ class AugmentConfig:
         self.seed = int(seed)
 
 
-def draw_params(config, seed=None):
+def draw_params(config, seed):
     """Sample one set of concrete augmentation parameters from the config."""
-    root = config.seed if seed is None else seed
-    rng = derive_rng(root, "augment-draw")
+    rng = derive_rng(seed, "augment-draw")
     return {
         "angle": float(rng.uniform(*config.rotation)),
         "brightness": float(rng.uniform(*config.brightness)),
@@ -181,10 +183,3 @@ def apply_params(img, params, config):
                                       config.burn_intensity, config.blur_sigma,
                                       seed=params["burn_seed"])
     return out
-
-
-def write_sidecar(path, mapping):
-    """Record the drawn parameters as sorted key=value lines."""
-    with atomic_open(path, "w", encoding="utf-8", newline="\n") as f:
-        for key in sorted(mapping):
-            f.write(f"{key}={mapping[key]}\n")

@@ -302,12 +302,11 @@ class CapsNet:
     def encode(self, x):
         return self.encoder(x)
 
-    def reconstruct(self, x, mask=None):
-        """Encode then decode through the strongest (or given) capsule."""
+    def reconstruct(self, x):
+        """Encode then decode through the capsule strongest on average
+        over the batch."""
         v = self.encoder(x)
-        if mask is None:
-            scores = capsule_scores(v).data
-            mask = int(np.argmax(scores.mean(axis=0)))
+        mask = int(np.argmax(capsule_scores(v).data.mean(axis=0)))
         return self.decoder.decode(v, mask)
 
 

@@ -13,7 +13,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .augment import apply_params, draw_params, write_sidecar
+from .atomic import write_key_values
+from .augment import apply_params, draw_params
 from .checkpoint import pair_model_from_checkpoint, read_checkpoint
 from .datasets import (SyntheticAnodeSpec, export_pgm_tree,
                        generate_synthetic_anodes, read_pgm, write_pgm)
@@ -233,7 +234,7 @@ def cmd_augment(args):
             out_path = os.path.join(args.out, f"{stem}-aug{copy}.pgm")
             os.makedirs(os.path.dirname(out_path), exist_ok=True)
             write_pgm(out_path, out)
-            write_sidecar(out_path + ".txt", params)
+            write_key_values(out_path + ".txt", sorted(params.items()))
             written += 1
     print(f"wrote {written} augmented images ({len(files)} inputs x {multiplier}) to {args.out}")
     return 0

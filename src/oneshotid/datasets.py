@@ -28,8 +28,6 @@ class Dataset:
     """
 
     def __init__(self, images, class_ids, source="", metadata=None):
-        if not isinstance(images, np.ndarray):
-            images = np.stack([np.asarray(im) for im in images]) if len(images) else np.zeros((0,))
         self.images = images
         self.class_ids = np.asarray(class_ids)
         if len(self.images) != len(self.class_ids):
@@ -285,34 +283,28 @@ def load_pgm_faces(dir_):
 # synthetic anodes
 # ---------------------------------------------------------------------------
 
+# Every synthetic class draws this many surface stubs, with radii drawn
+# from the range; every view scales the image by a gain drawn from the
+# brightness range and adds pixel noise of this standard deviation.
+_STUB_COUNT = 5
+_STUB_RADIUS = (2.0, 5.0)
+_TEXTURE = 0.08
+_BRIGHTNESS = (0.7, 1.0)
+
+
 class SyntheticAnodeSpec:
-    """Geometry and texture ranges for procedural anode images.
+    """Image size and seed of procedural anode images.
 
     Each class gets a fixed random set of surface stubs (its identity);
     each view re-renders the same stubs under a different brightness and
     texture draw, imitating the appearance change of a firing pass.
     """
 
-    def __init__(self, size=(64, 64), stub_count=5, stub_radius=(2.0, 5.0),
-                 texture_scale=0.08, brightness=(0.7, 1.0), seed=0):
+    def __init__(self, size=(64, 64), seed=0):
         h, w = (int(v) for v in size)
         if h < 8 or w < 8:
             raise ConfigError(f"image size too small: {size}")
-        if stub_count < 1:
-            raise ConfigError(f"stub count must be >= 1, got {stub_count}")
-        lo, hi = (float(v) for v in stub_radius)
-        if not 0 < lo < hi:
-            raise ConfigError(f"stub radius range must satisfy 0 < lo < hi, got {stub_radius}")
-        b_lo, b_hi = (float(v) for v in brightness)
-        if not 0 < b_lo < b_hi <= 1.5:
-            raise ConfigError(f"brightness range must satisfy 0 < lo < hi <= 1.5, got {brightness}")
-        if texture_scale < 0:
-            raise ConfigError(f"texture scale must be >= 0, got {texture_scale}")
         self.size = (h, w)
-        self.stub_count = int(stub_count)
-        self.stub_radius = (lo, hi)
-        self.texture_scale = float(texture_scale)
-        self.brightness = (b_lo, b_hi)
         self.seed = int(seed)
 
 
@@ -326,8 +318,8 @@ def _render_anode(spec, stubs, rng):
     for cy, cx, r in stubs:
         mask = (yy - cy) ** 2 + (xx - cx) ** 2 <= r * r
         img[mask] = 0.95
-    gain = rng.uniform(*spec.brightness)
-    img = img * gain + rng.normal(scale=spec.texture_scale, size=(h, w))
+    gain = rng.uniform(*_BRIGHTNESS)
+    img = img * gain + rng.normal(scale=_TEXTURE, size=(h, w))
     return np.clip(img, 0.0, 1.0)
 
 
@@ -338,22 +330,19 @@ def generate_synthetic_anodes(spec, n_classes, views_per_class):
     if n_classes < 1 or views_per_class < 1:
         raise ConfigError("need at least one class and one view per class")
     h, w = spec.size
-    lo, hi = spec.stub_radius
+    lo, hi = _STUB_RADIUS
     images, class_ids = [], []
     for cls in range(n_classes):
         crng = derive_rng(spec.seed, "anode", cls)
         stubs = [
             (crng.uniform(hi, h - hi), crng.uniform(hi, w - hi), crng.uniform(lo, hi))
-            for _ in range(spec.stub_count)
+            for _ in range(_STUB_COUNT)
         ]
         for view in range(views_per_class):
             vrng = derive_rng(spec.seed, "anode", cls, "view", view)
             images.append(_render_anode(spec, stubs, vrng))
             class_ids.append(cls)
-    return Dataset(
-        np.stack(images), class_ids, source="synthetic-anodes",
-        metadata={"spec_seed": spec.seed, "views_per_class": views_per_class},
-    )
+    return Dataset(np.stack(images), class_ids, source="synthetic-anodes")
 
 
 # ---------------------------------------------------------------------------

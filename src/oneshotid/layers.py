@@ -288,11 +288,10 @@ class LayerStack:
     def __init__(self, layers, input_shape):
         self.layers = list(layers)
         self.input_shape = tuple(input_shape)
-        shapes = [self.input_shape]
+        shape = self.input_shape
         for layer in self.layers:
-            shapes.append(layer.out_shape(shapes[-1]))
-        self.shapes = shapes
-        self.output_shape = shapes[-1]
+            shape = layer.out_shape(shape)
+        self.output_shape = shape
 
     def forward(self, x):
         if tuple(x.shape[1:]) != self.input_shape:

@@ -75,22 +75,24 @@ def cross_entropy(logits, labels):
     return T.tmean(_per_example_cross_entropy(logits, _as_label_array(labels, k, b)))
 
 
+# Share of the way each centroid moves toward its batch feature mean.
+_CENTER_RATE = 0.5
+
+
 class CenterState:
-    """Per-class feature centroids plus the center-loss knobs.
+    """Per-class feature centroids plus the center-loss balance weight.
 
     Centroids are ordinary arrays updated by an exponential moving
-    average after each loss evaluation; gradients never flow into them.
+    average (rate ``_CENTER_RATE``) after each loss evaluation; gradients
+    never flow into them.
     """
 
-    def __init__(self, n_classes, feature_dim, lam=0.1, rate=0.5, centroids=None):
+    def __init__(self, n_classes, feature_dim, lam=0.1, centroids=None):
         if lam < 0:
             raise ConfigError(f"balance weight must be >= 0, got {lam}")
-        if not 0 <= rate <= 1:
-            raise ConfigError(f"update rate must be in [0,1], got {rate}")
         self.n_classes = int(n_classes)
         self.feature_dim = int(feature_dim)
         self.lam = float(lam)
-        self.rate = float(rate)
         if centroids is None:
             self.centroids = np.zeros((n_classes, feature_dim))
         else:
@@ -109,7 +111,7 @@ def center_loss(features, logits_params, labels, state):
     W: [d,K], b: [K].  The loss is sum_i CE(z_i, y_i) + lam * sum_i
     ||x_i - c_{y_i}||^2, evaluated with the centroids as they were before
     the call; afterwards each class centroid present in the batch moves
-    toward its batch feature mean by the state's EMA rate.
+    toward its batch feature mean by ``_CENTER_RATE``.
     """
     w, bias = logits_params
     if features.ndim != 2:
@@ -131,7 +133,7 @@ def center_loss(features, logits_params, labels, state):
     feats = features.data
     for cls in np.unique(idx):
         batch_mean = feats[idx == cls].mean(axis=0)
-        state.centroids[cls] += state.rate * (batch_mean - state.centroids[cls])
+        state.centroids[cls] += _CENTER_RATE * (batch_mean - state.centroids[cls])
     return loss
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .atomic import atomic_open
+from .atomic import write_key_values
 from .augment import AugmentConfig, apply_params, draw_params
 from .capsules import build_capsnet
 from .checkpoint import APPROACHES, save_pair_model
@@ -299,8 +299,8 @@ def augment_dataset(dataset, config, multiplier, seed):
 # ---------------------------------------------------------------------------
 
 def _run_single(recipe, train_ds, eval_ds, config, out_dir=None, tag=""):
-    """Train one model; test accuracy comes from eval_ds pairs with the
-    threshold (if any) chosen on training pairs."""
+    """Train one model and return its RunReport; test accuracy comes from
+    eval_ds pairs with the threshold (if any) chosen on training pairs."""
     if recipe.augment is not None and recipe.augment_multiplier >= 1:
         train_ds = augment_dataset(train_ds, recipe.augment,
                                    recipe.augment_multiplier,
@@ -322,7 +322,7 @@ def _run_single(recipe, train_ds, eval_ds, config, out_dir=None, tag=""):
         report.write_csv(os.path.join(run_dir, "epochs.csv"))
         report.write_summary(os.path.join(run_dir, "summary.txt"))
         save_pair_model(os.path.join(run_dir, "model.ckpt"), model, recipe.approach, tau)
-    return report, model
+    return report
 
 
 def dataset_hash(dataset):
@@ -330,12 +330,6 @@ def dataset_hash(dataset):
     h.update(np.ascontiguousarray(dataset.images).tobytes())
     h.update(np.ascontiguousarray(dataset.class_ids).tobytes())
     return h.hexdigest()
-
-
-def write_manifest(path, entries):
-    with atomic_open(path, "w", encoding="utf-8", newline="\n") as f:
-        for key, value in entries:
-            f.write(f"{key}={value}\n")
 
 
 def _start_run(recipe, data_dir, out_dir, command):
@@ -368,8 +362,8 @@ def run_experiment(recipe, data_dir, out_dir, command="train"):
             config = dataclasses.replace(recipe.train,
                                          seed=derive_seed(recipe.seed, "fold", fold))
             try:
-                report, _ = _run_single(recipe, train_ds, val_ds, config,
-                                        out_dir=out_dir, tag=f"fold-{fold}")
+                report = _run_single(recipe, train_ds, val_ds, config,
+                                     out_dir=out_dir, tag=f"fold-{fold}")
             except Exception as exc:
                 if len(exc.args) == 1 and isinstance(exc.args[0], str):
                     exc.args = (f"fold {fold}: {exc.args[0]}",)
@@ -390,13 +384,13 @@ def run_experiment(recipe, data_dir, out_dir, command="train"):
             rng_seed=derive_seed(recipe.seed, "holdout"))
         seen = class_subset(dataset, seen_classes)
         held = class_subset(dataset, held_classes)
-        report, _ = _run_single(recipe, seen, held, recipe.train, out_dir=out_dir)
+        report = _run_single(recipe, seen, held, recipe.train, out_dir=out_dir)
         entries.append(("holdout.seen_classes", ",".join(str(c) for c in seen_classes)))
         entries.append(("holdout.held_classes", ",".join(str(c) for c in held_classes)))
         entries.append(("test_accuracy", report.test_accuracy))
         result = {"reports": [report], "summary": {"mean": report.test_accuracy}}
 
-    write_manifest(os.path.join(out_dir, "manifest.txt"), entries)
+    write_key_values(os.path.join(out_dir, "manifest.txt"), entries)
     return result
 
 
@@ -410,10 +404,10 @@ def run_merge_comparison(recipe, data_dir, out_dir):
     rows = []
     for mode in MERGE_MODES:
         variant = dataclasses.replace(recipe, approach="merged", merge_mode=mode)
-        report, _ = _run_single(variant, train_ds, val_ds, variant.train,
-                                out_dir=out_dir, tag=mode)
+        report = _run_single(variant, train_ds, val_ds, variant.train,
+                             out_dir=out_dir, tag=mode)
         rows.append((mode, report.test_accuracy))
         entries.append((f"{mode}.seed", variant.seed))
         entries.append((f"{mode}.accuracy", report.test_accuracy))
-    write_manifest(os.path.join(out_dir, "manifest.txt"), entries)
+    write_key_values(os.path.join(out_dir, "manifest.txt"), entries)
     return rows

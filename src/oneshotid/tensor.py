@@ -296,28 +296,24 @@ def transpose(x, axes):
     return from_op("transpose", x.data.transpose(axes), (x,), lambda g: (g.transpose(inv),))
 
 
-def tsum(x, axis=None, keepdims=False):
+def tsum(x, axis=None):
     x = _as_tensor(x)
     xshape = x.shape
-    data = x.data.sum(axis=axis, keepdims=keepdims)
+    data = x.data.sum(axis=axis)
 
     def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g, xshape).copy(),)
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        if not keepdims:
+        if axis is not None:
+            axes = axis if isinstance(axis, tuple) else (axis,)
             g = np.expand_dims(g, [a % len(xshape) for a in axes])
         return (np.broadcast_to(g, xshape).copy(),)
 
     return from_op("sum", data, (x,), bwd)
 
 
-def tmean(x, axis=None, keepdims=False):
+def tmean(x):
+    """Mean over every element."""
     x = _as_tensor(x)
-    n = x.size if axis is None else np.prod(
-        [x.shape[a] for a in (axis if isinstance(axis, tuple) else (axis,))]
-    )
-    return mul(tsum(x, axis=axis, keepdims=keepdims), 1.0 / float(n))
+    return mul(tsum(x), 1.0 / float(x.size))
 
 
 def softmax(x, axis=-1):
@@ -339,10 +335,10 @@ def softmax(x, axis=-1):
     return from_op("softmax", y, (x,), bwd)
 
 
-def l2norm(x, axis=-1, keepdims=False, eps=_EPS):
+def l2norm(x, axis=-1, keepdims=False):
     """Euclidean norm along ``axis``.
 
-    The backward pass divides by ``norm + eps`` so the gradient stays
+    The backward pass divides by ``norm + _EPS`` so the gradient stays
     finite at the zero vector, where the exact norm is not differentiable.
     """
     x = _as_tensor(x)
@@ -353,13 +349,13 @@ def l2norm(x, axis=-1, keepdims=False, eps=_EPS):
     def bwd(g):
         if not keepdims:
             g = np.expand_dims(g, ax)
-        return (g * xd / (n + eps),)
+        return (g * xd / (n + _EPS),)
 
     data = n if keepdims else n.squeeze(ax)
     return from_op("l2norm", data, (x,), bwd)
 
 
-def logsumexp(x, axis=-1, keepdims=False):
+def logsumexp(x, axis=-1):
     """log(sum(exp(x))) along ``axis``, max-stabilized."""
     x = _as_tensor(x)
     ax = axis % x.ndim
@@ -370,8 +366,6 @@ def logsumexp(x, axis=-1, keepdims=False):
     soft = e / s
 
     def bwd(g):
-        if not keepdims:
-            g = np.expand_dims(g, ax)
-        return (g * soft,)
+        return (np.expand_dims(g, ax) * soft,)
 
-    return from_op("logsumexp", data if keepdims else data.squeeze(ax), (x,), bwd)
+    return from_op("logsumexp", data.squeeze(ax), (x,), bwd)

@@ -31,7 +31,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import tensor as T
-from .atomic import atomic_open
+from .atomic import atomic_open, write_key_values
+from .capsules import capsule_scores
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .losses import contrastive_loss, cross_entropy, reconstruction_loss
 from .pairing import merge
@@ -107,18 +108,14 @@ class RunReport:
     def epochs_run(self):
         return len(self.train_loss)
 
-    def csv_text(self):
-        lines = ["epoch,train_loss,train_acc,val_loss,val_acc"]
-        rows = zip(self.train_loss, self.train_acc, self.val_loss, self.val_acc)
-        for e, (tl, ta, vl, va) in enumerate(rows, start=1):
-            lines.append(f"{e},{tl:.10g},{ta:.10g},{vl:.10g},{va:.10g}")
-        return "\n".join(lines) + "\n"
-
     def write_csv(self, path):
-        with atomic_open(path, "w", newline="") as f:
-            f.write(self.csv_text())
+        rows = zip(self.train_loss, self.train_acc, self.val_loss, self.val_acc)
+        with atomic_open(path, "w", encoding="utf-8", newline="") as f:
+            f.write("epoch,train_loss,train_acc,val_loss,val_acc\n")
+            for e, (tl, ta, vl, va) in enumerate(rows, start=1):
+                f.write(f"{e},{tl:.10g},{ta:.10g},{vl:.10g},{va:.10g}\n")
 
-    def summary_text(self):
+    def write_summary(self, path):
         items = {
             "seed": self.seed,
             "epochs_run": self.epochs_run,
@@ -132,11 +129,7 @@ class RunReport:
         }
         for key in sorted(self.config):
             items[f"config.{key}"] = self.config[key]
-        return "".join(f"{k}={v}\n" for k, v in items.items())
-
-    def write_summary(self, path):
-        with atomic_open(path, "w", newline="") as f:
-            f.write(self.summary_text())
+        write_key_values(path, items.items())
 
 
 # ---------------------------------------------------------------------------
@@ -461,15 +454,13 @@ def train(model, pairs, loss_kind, config, val_pairs=None):
     return report
 
 
-def train_reconstruction(model, images, config, weight=0.0005):
+def train_reconstruction(model, images, config):
     """Train a capsule model's decoder (and encoder) to reconstruct inputs.
 
     Each example is decoded through its strongest capsule.  Returns the
     per-epoch mean per-image loss and stores the final value on
     ``model.recon_loss``, which gates generation.
     """
-    from .capsules import capsule_scores
-
     imgs = np.asarray(images)
     if imgs.ndim != 3:
         raise ShapeError(f"expected [N, H, W] grayscale images, got {imgs.shape}")
@@ -482,7 +473,7 @@ def train_reconstruction(model, images, config, weight=0.0005):
         mask = np.argmax(capsule_scores(v).data, axis=1)
         decoded = model.decoder.decode(v, mask)
         target = Tensor(imgs[idx], requires_grad=False)
-        return T.mul(reconstruction_loss(decoded, target, weight=weight), 1.0 / len(idx)), None
+        return T.mul(reconstruction_loss(decoded, target), 1.0 / len(idx)), None
 
     history = [loss for loss, _ in _epochs(model, len(imgs), config, "recon", step)]
     model.recon_loss = history[-1]

@@ -5,10 +5,8 @@ import numpy as np
 import pytest
 
 from oneshotid import atomic
-from oneshotid import augment
 from oneshotid import checkpoint as ckpt
 from oneshotid import datasets
-from oneshotid import recipes
 from oneshotid import trainer as tr
 from oneshotid.atomic import atomic_open
 
@@ -41,10 +39,10 @@ WRITERS = {
     "checkpoint": lambda p: ckpt.write_checkpoint(p, {"model": "x"}, [("w", np.ones((3, 2)))]),
     "csv": lambda p: _report().write_csv(p),
     "summary": lambda p: _report().write_summary(p),
-    "manifest": lambda p: recipes.write_manifest(p, [("a", 1), ("b", 2)]),
+    "manifest": lambda p: atomic.write_key_values(p, [("a", 1), ("b", 2)]),
     "pgm": lambda p: datasets.write_pgm(p, np.full((4, 3), 0.5)),
     "matrix": lambda p: datasets.write_matrix(p, np.arange(6, dtype=np.int32).reshape(2, 3)),
-    "sidecar": lambda p: augment.write_sidecar(p, {"angle": 12.5, "seed": 7}),
+    "sidecar": lambda p: atomic.write_key_values(p, sorted({"seed": 7, "angle": 12.5}.items())),
 }
 
 
@@ -90,3 +88,9 @@ def test_new_file_gets_plain_open_permissions(tmp_path):
         f.write("x")
     assert os.stat(atomic_path).st_mode == os.stat(plain).st_mode
     assert atomic_path.read_text() == "x"
+
+
+def test_key_values_are_utf8_lf_lines_in_given_order(tmp_path):
+    path = tmp_path / "artifact"
+    atomic.write_key_values(path, [("b", "caf\u00e9"), ("a", 1)])
+    assert path.read_bytes() == "b=caf\u00e9\na=1\n".encode("utf-8")

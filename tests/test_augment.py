@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from oneshotid import augment as A
+from oneshotid import cli
+from oneshotid.datasets import write_pgm
 from oneshotid.errors import ConfigError
+from oneshotid.rng import derive_seed
 
 
 def _img(seed=0, size=(12, 12)):
@@ -94,7 +97,7 @@ class TestPipeline:
     def test_identity_config_is_exact_identity(self):
         img = _img(12)
         cfg = _identity_config()
-        out = A.apply_params(img, A.draw_params(cfg), cfg)
+        out = A.apply_params(img, A.draw_params(cfg, 11), cfg)
         assert np.array_equal(out, img)
 
     def test_range_preserved_many_draws(self):
@@ -110,8 +113,8 @@ class TestPipeline:
     def test_deterministic_under_seed(self):
         cfg = A.AugmentConfig(seed=14)
         img = _img(14)
-        a = A.apply_params(img, A.draw_params(cfg), cfg)
-        b = A.apply_params(img, A.draw_params(cfg), cfg)
+        a = A.apply_params(img, A.draw_params(cfg, 14), cfg)
+        b = A.apply_params(img, A.draw_params(cfg, 14), cfg)
         assert np.array_equal(a, b)
 
     def test_distinct_seeds_distinct_outputs(self):
@@ -138,16 +141,39 @@ class TestPipeline:
             A.AugmentConfig(burn_count=(-1, 2))
         with pytest.raises(ConfigError):
             A.AugmentConfig(blur_sigma=-1)
+        # settings the chain cannot honour: fractional burn counts and
+        # brightness deltas beyond adjust_brightness's |delta| <= 1
+        with pytest.raises(ConfigError, match="whole numbers"):
+            A.AugmentConfig(burn_count=(0.5, 2.9))
+        with pytest.raises(ConfigError, match=r"\[-1, 1\]"):
+            A.AugmentConfig(brightness=(-1.2, 0.5))
+        with pytest.raises(ConfigError, match=r"\[-1, 1\]"):
+            A.AugmentConfig(brightness=(0.0, 1.5))
+        cfg = A.AugmentConfig(burn_count=(0, 3.0), brightness=(-1, 1))
+        assert cfg.burn_count == (0, 3) and cfg.brightness == (-1.0, 1.0)
 
 
 class TestSidecar:
+    """The ``<image>.txt`` file ``oneshotid augment`` writes next to each
+    augmented image: the drawn parameters as sorted key=value lines."""
+
+    def _sidecar(self, tmp_path):
+        (tmp_path / "in" / "s1").mkdir(parents=True)
+        write_pgm(str(tmp_path / "in" / "s1" / "1.pgm"), _img(17, size=(8, 8)))
+        cfg = tmp_path / "aug.cfg"
+        cfg.write_text("[augment]\nmultiplier = 1\nseed = 7\n")
+        assert cli.main(["augment", "--in", str(tmp_path / "in"), "--recipe", str(cfg),
+                         "--out", str(tmp_path / "out")]) == 0
+        return tmp_path / "out" / "s1" / "1-aug0.pgm.txt"
+
     def test_round_trip(self, tmp_path):
-        p = tmp_path / "img.pgm.meta"
-        A.write_sidecar(p, {"source": "a.pgm", "seed": 7, "angle": 12.5})
-        assert p.read_text(encoding="utf-8") == "angle=12.5\nseed=7\nsource=a.pgm\n"
+        lines = self._sidecar(tmp_path).read_text(encoding="utf-8").splitlines()
+        drawn = A.draw_params(A.AugmentConfig(), derive_seed(7, "image", 0, 0))
+        assert dict(line.split("=", 1) for line in lines) == {
+            key: str(value) for key, value in drawn.items()}
 
     def test_sorted_lines_lf(self, tmp_path):
-        p = tmp_path / "m.meta"
-        A.write_sidecar(p, {"b": 1, "a": 2})
-        blob = p.read_bytes()
-        assert blob == b"a=2\nb=1\n"
+        blob = self._sidecar(tmp_path).read_bytes()
+        assert blob.endswith(b"\n") and b"\r" not in blob
+        keys = [line.split(b"=")[0] for line in blob.splitlines()]
+        assert keys == sorted(keys) and len(keys) == 6

@@ -598,6 +598,17 @@ def test_augment_bad_config_key_exits_two(tmp_path, capsys):
     assert "volume" in capsys.readouterr().err
 
 
+def test_augment_unhonourable_config_exits_two_before_writing(tmp_path, capsys):
+    in_dir = pgm_tree(tmp_path, n=1)
+    cfg = tmp_path / "aug.cfg"
+    cfg.write_text("[augment]\nbrightness = -1.2 0.5\n")
+    rcode = cli.main(["augment", "--in", str(in_dir), "--recipe", str(cfg),
+                      "--out", str(tmp_path / "o")])
+    assert rcode == 2
+    assert "brightness range must lie within [-1, 1]" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 NON_UTF8_CONFIG = b"[augment]\nmultiplier = 1\n# caf\xe9\n"
 
 

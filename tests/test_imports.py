@@ -1,6 +1,7 @@
 """Every name a package module imports is used in that module, every
-module-level private name is used somewhere in the package, and every
-public function, class and method is called from outside the unit tests.
+module-level private name is used somewhere in the package, every public
+function, class and method is called from outside the unit tests, and
+every parameter default of those is overridden by some such call.
 
 AST scans.  A name bound by ``import`` or ``from ... import`` counts as
 used when the module loads it anywhere (as a bare name or as the base of
@@ -11,7 +12,12 @@ name, reads it as an attribute (``T._EPS``) or imports it.  A public
 top-level ``def`` or ``class``, or a public method of a top-level class,
 counts as used when the package, a non-test perfbench module, the
 acceptance tests or the gradient checker references its name that way;
-API surface that only unit tests call fails the scan.
+API surface that only unit tests call fails the scan.  A parameter with a
+default counts as passed when some call to its function's name (its
+class's name, for ``__init__``) in that same code passes it by keyword,
+by position or through ``*``/``**``; a constructor parameter named in
+``spec_fields`` counts as passed, because checkpoints load those with
+``**``.  An option that only unit tests set fails the scan.
 """
 
 import ast
@@ -137,3 +143,97 @@ def test_scan_finds_a_public_name_only_unit_tests_use():
                "b.py": "from .a import f\n"}
     assert unreferenced_public_names(sources, ["a.C().m()\n"]) == [
         ("a.py", 3, "g"), ("a.py", 8, "C.n")]
+
+
+def _spec_fields(cls):
+    for node in cls.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "spec_fields" for t in node.targets)):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def _defaulted_parameters(tree):
+    """(line, label, call name, position, parameter) of each parameter with
+    a default of a public top-level function, a public method of a
+    top-level class or a public class's ``__init__``.  ``position`` is the
+    parameter's index among a call's positional arguments, or None when it
+    is keyword-only; a constructor parameter named in its class's
+    ``spec_fields`` is left out."""
+    funcs = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            funcs.append((node, node.name, node.name, 0, set()))
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if not isinstance(item, ast.FunctionDef):
+                    continue
+                if item.name == "__init__" and not node.name.startswith("_"):
+                    funcs.append((item, node.name, node.name, 1, _spec_fields(node)))
+                elif not item.name.startswith("_"):
+                    funcs.append((item, f"{node.name}.{item.name}", item.name, 1, set()))
+    for func, label, name, skip, exempt in funcs:
+        positional = [*func.args.posonlyargs, *func.args.args]
+        first_default = len(positional) - len(func.args.defaults)
+        defaulted = [(i - skip, a.arg) for i, a in enumerate(positional) if i >= first_default]
+        defaulted += [(None, a.arg) for a, d in zip(func.args.kwonlyargs, func.args.kw_defaults)
+                      if d is not None]
+        for position, param in defaulted:
+            if param not in exempt:
+                yield func.lineno, label, name, position, param
+
+
+def _calls(tree):
+    """(called name, positional count, keyword names) of each call; a call
+    with ``*`` or ``**`` arguments counts as passing every parameter."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if any(isinstance(a, ast.Starred) for a in node.args) or any(
+                k.arg is None for k in node.keywords):
+            yield name, 0, None
+        else:
+            yield name, len(node.args), {k.arg for k in node.keywords}
+
+
+def unpassed_defaults(sources, callers):
+    """(module, line, label, parameter) of each defaulted parameter in
+    ``sources`` ({module: source text}) that no call in ``sources`` or in
+    ``callers`` passes by keyword, by position or through ``*``/``**``."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    calls = {}
+    for tree in [*trees.values(), *map(ast.parse, callers)]:
+        for name, n_positional, keywords in _calls(tree):
+            calls.setdefault(name, []).append((n_positional, keywords))
+
+    def passed(name, position, param):
+        return any(keywords is None or param in keywords
+                   or (position is not None and n_positional > position)
+                   for n_positional, keywords in calls.get(name, ()))
+
+    return sorted((module, line, label, param) for module, tree in trees.items()
+                  for line, label, name, position, param in _defaulted_parameters(tree)
+                  if not passed(name, position, param))
+
+
+def test_defaulted_parameters_are_passed_outside_unit_tests():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    callers = [p.read_text(encoding="utf-8") for p in CALLERS]
+    assert unpassed_defaults(sources, callers) == []
+
+
+def test_scan_finds_a_default_only_unit_tests_pass():
+    sources = {"a.py": ("def f(x, y=1, z=2, *, k=3):\n    pass\n"
+                        "def g(x=0):\n    pass\n"
+                        "class C:\n    spec_fields = ('s',)\n"
+                        "    def __init__(self, s=1, t=2):\n        pass\n"
+                        "    def m(self, u=1, v=2):\n        pass\n"),
+               "b.py": "from .a import f\nf(0, 1)\nC()\n"}
+    callers = ["a.C().m(v=4)\n", "args = ()\nf(*args)\n"]
+    assert unpassed_defaults(sources, callers) == [
+        ("a.py", 3, "g", "x"), ("a.py", 7, "C", "t"), ("a.py", 9, "C.m", "u")]
+    assert unpassed_defaults(sources, ["a.C().m(v=4)\n"]) == [
+        ("a.py", 1, "f", "k"), ("a.py", 1, "f", "z"), ("a.py", 3, "g", "x"),
+        ("a.py", 7, "C", "t"), ("a.py", 9, "C.m", "u")]

@@ -162,7 +162,7 @@ class TestCenterLoss:
         bias = rng.normal(size=k)
         labels = rng.integers(0, k, size=b)
         cent = rng.normal(size=(k, d))
-        state = losses.CenterState(k, d, lam=lam, rate=0.5, centroids=cent)
+        state = losses.CenterState(k, d, lam=lam, centroids=cent)
         return x, w, bias, labels, cent, state
 
     def test_zero_balance_reduces_to_summed_cross_entropy(self):
@@ -178,11 +178,11 @@ class TestCenterLoss:
     def test_zero_center_term_when_features_sit_on_centroids(self):
         x, w, bias, labels, cent, _ = self._setup()
         x = cent[labels]
-        state = losses.CenterState(2, 3, lam=5.0, rate=0.0, centroids=cent)
+        state = losses.CenterState(2, 3, lam=5.0, centroids=cent)
         with_pull = losses.center_loss(
             T.Tensor(x), (T.Tensor(w), T.Tensor(bias)), labels, state
         ).data
-        state0 = losses.CenterState(2, 3, lam=0.0, rate=0.0, centroids=cent)
+        state0 = losses.CenterState(2, 3, lam=0.0, centroids=cent)
         without = losses.center_loss(
             T.Tensor(x), (T.Tensor(w), T.Tensor(bias)), labels, state0
         ).data
@@ -195,7 +195,7 @@ class TestCenterLoss:
         bias = rng.normal(size=2)
         cent = rng.normal(size=(2, 3))
         labels = [1]
-        state = losses.CenterState(2, 3, lam=0.7, rate=0.5, centroids=cent)
+        state = losses.CenterState(2, 3, lam=0.7, centroids=cent)
         loss = losses.center_loss(
             T.Tensor(x), (T.Tensor(w), T.Tensor(bias)), labels, state
         ).data
@@ -211,12 +211,16 @@ class TestCenterLoss:
             loss, center_oracle(x, w, bias, labels, cent, 0.25), atol=1e-10
         )
 
-    def test_rate_one_single_class_moves_centroid_to_batch_mean(self):
+    def test_rate_one_single_class_moves_centroid_to_batch_mean(self, monkeypatch):
         rng = np.random.default_rng(23)
         x = rng.normal(size=(5, 3))
         w = rng.normal(size=(3, 2))
         bias = np.zeros(2)
-        state = losses.CenterState(2, 3, lam=0.1, rate=1.0)
+        state = losses.CenterState(2, 3, lam=0.1)
+        losses.center_loss(T.Tensor(x), (T.Tensor(w), T.Tensor(bias)), [0] * 5, state)
+        np.testing.assert_allclose(state.centroids[0], 0.5 * x.mean(axis=0))
+        monkeypatch.setattr(losses, "_CENTER_RATE", 1.0)
+        state = losses.CenterState(2, 3, lam=0.1)
         losses.center_loss(T.Tensor(x), (T.Tensor(w), T.Tensor(bias)), [0] * 5, state)
         np.testing.assert_allclose(state.centroids[0], x.mean(axis=0))
         np.testing.assert_allclose(state.centroids[1], np.zeros(3))
@@ -227,7 +231,7 @@ class TestCenterLoss:
         w = rng.normal(size=(3, 2))
         bias = np.zeros(2)
         cent = rng.normal(size=(2, 3))
-        state = losses.CenterState(2, 3, lam=1.0, rate=1.0, centroids=cent)
+        state = losses.CenterState(2, 3, lam=1.0, centroids=cent)
         loss = losses.center_loss(
             T.Tensor(x), (T.Tensor(w), T.Tensor(bias)), [0, 0], state
         ).data
@@ -255,7 +259,7 @@ class TestCenterLoss:
         cent = rng.normal(size=(2, 4))
 
         def f(xt, wt, bt):
-            state = losses.CenterState(2, 4, lam=0.4, rate=0.5, centroids=cent)
+            state = losses.CenterState(2, 4, lam=0.4, centroids=cent)
             return losses.center_loss(xt, (wt, bt), labels, state)
 
         check_grads(f, [x, w, bias], tol=1e-4)

@@ -98,10 +98,15 @@ def test_single_seed_flows_into_train_config():
     ("[experiment]\napproach = merged\ndataset = att-faces\n[augment]\nseed = 4\n", "seed"),
     ("[experiment]\napproach = merged\ndataset = att-faces\n[augment]\nmultiplier = x\n",
      "multiplier"),
+    ("[experiment]\napproach = merged\ndataset = att-faces\n[augment]\nburn_count = 0.5 2.9\n",
+     "burn count"),
+    ("[experiment]\napproach = merged\ndataset = att-faces\n[augment]\nbrightness = -1.2 0.5\n",
+     "brightness"),
 ], ids=["no-approach", "no-dataset", "bad-approach", "unknown-key",
         "unknown-section", "bad-protocol", "bad-merge", "bad-folds",
         "bad-balance", "train-seed-rejected", "bad-augment-key",
-        "augment-seed-rejected", "bad-augment-multiplier"])
+        "augment-seed-rejected", "bad-augment-multiplier",
+        "fractional-burn-count", "brightness-beyond-one"])
 def test_parse_rejects_invalid_recipes(text, needle):
     with pytest.raises(ConfigError, match=needle):
         rc.parse_recipe_text(text)
@@ -288,7 +293,7 @@ def stub_folds(monkeypatch, accs, failures=None):
                            val_acc=[accs[fold]], wall_time=0.0, seed=config.seed,
                            config=config.snapshot())
         report.test_accuracy = accs[fold]
-        return report, None
+        return report
 
     monkeypatch.setattr(rc, "_run_single", run)
     return calls

@@ -247,7 +247,8 @@ class TestGradientCorrectness:
         rng = np.random.default_rng(37)
         x = rng.normal(size=(3, 4, 2))
         check_grads(lambda t: T.tsum(T.square(T.tsum(t, axis=1))), [x], tol=1e-4)
-        check_grads(lambda t: T.tsum(T.square(T.tmean(t, axis=(0, 2)))), [x], tol=1e-4)
+        check_grads(lambda t: T.tsum(T.square(T.tsum(t, axis=(0, 2)))), [x], tol=1e-4)
+        check_grads(lambda t: T.square(T.tmean(t)), [x], tol=1e-4)
         check_grads(lambda t: T.tsum(T.square(T.reshape(t, (6, 4)))), [x], tol=1e-4)
         check_grads(lambda t: T.tsum(T.square(T.transpose(t, (2, 0, 1)))), [x], tol=1e-4)
 
