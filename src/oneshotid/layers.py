@@ -8,12 +8,15 @@ Convolution is cross-correlation (no kernel flip) without padding unless
 asked for; pooling is max with gradient routed to the first occurrence of
 the window maximum.
 
-``conv2d`` runs on one column layout: the im2col matrix is
-[C*kh*kw, N*oh*ow], its rows ordered (channel, tap) like the flattened
-weights, so the forward and all three gradients are single matrix products
-and the input gradient is scattered back one contiguous tap block at a
-time.  The input gradient is computed only for inputs that require one;
-the first convolution of a tower, which sees raw images, skips it.
+``conv2d`` runs its forward and weight gradient on one column layout: the
+im2col matrix is [C*kh*kw, N*oh*ow], its rows ordered (channel, tap) like
+the flattened weights, so each is a single matrix product.  The input
+gradient never builds the matching column-gradient matrix.  It is one small
+product per kernel tap, added into the stride phase of the padded input that
+the tap lands in, where the add is a dense block; one interleave of the
+phases then gives the input layout.  The input gradient is computed only for
+inputs that require one; the first convolution of a tower, which sees raw
+images, skips it.
 
 ``maxpool2d`` loops over the window taps, one strided slice of the input
 each: the forward is a running maximum of the slices, and the backward
@@ -27,7 +30,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import tensor as T
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 from .rng import derive_rng
 
 
@@ -37,6 +40,14 @@ def _pair(v):
             raise ShapeError(f"expected a pair, got {v!r}")
         return int(v[0]), int(v[1])
     return int(v), int(v)
+
+
+def _check_sizes(op, **pairs):
+    """Raise a ConfigError naming the first (rows, cols) pair in ``pairs``
+    that has a size below 1."""
+    for name, (a, b) in pairs.items():
+        if a < 1 or b < 1:
+            raise ConfigError(f"{op} {name} must be at least 1, got {a}x{b}")
 
 
 def _window_extent(op, h, w, window, stride, pad=0):
@@ -55,10 +66,16 @@ def conv2d(x, weights, bias, stride=1, padding=0):
     Forward is ``weights [O, C*kh*kw] @ cols [C*kh*kw, N*oh*ow]``, returned
     as an [N, O, oh, ow] view of the [O, N, oh, ow] product plus the bias.
     Backward takes the upstream gradient as [O, N*oh*ow] once: the weight
-    gradient is one product with the saved columns, and the column gradient
-    ``weights.T @ g`` comes out [C, kh, kw, N, oh, ow], so each kernel tap
-    adds a contiguous block into a [C, N, H, W] buffer.  When ``x`` does not
-    require a gradient, its gradient is None and neither step runs.
+    gradient is one product with the saved columns.  The input gradient
+    splits the padded input into sh*sw stride phases, one per (row mod sh,
+    column mod sw), each a dense [C, N, ceil(Hp/sh), ceil(Wp/sw)] grid.
+    Kernel tap (i, j) always lands in phase (i % sh, j % sw) at offset
+    (i // sh, j // sw), so each tap's ``weights[:, :, i, j].T @ g`` goes
+    into one reused [C, N*oh*ow] buffer and then into its phase as one
+    dense block; the phases are interleaved once at the end.  Each input cell
+    sums the same products in the same tap order as a column-gradient
+    scatter would.  When ``x`` does not require a gradient, its gradient is
+    None and none of this runs.
     """
     if x.ndim != 4:
         raise ShapeError(f"conv2d input must be [N,C,H,W], got {x.shape}")
@@ -85,15 +102,17 @@ def conv2d(x, weights, bias, stride=1, padding=0):
         db = g2.sum(axis=1)
         if not need_dx:
             return None, dw, db
-        dcols = (w2.T @ g2).reshape(c, kh, kw, n, oh, ow)
-        dxp = np.zeros((c, n) + xp.shape[2:], dtype=xp.dtype)
+        ph, pw = -(-xp.shape[2] // sh), -(-xp.shape[3] // sw)
+        phases = np.zeros((sh, sw, c, n, ph, pw), dtype=xp.dtype)
+        tap = np.empty((c, n * oh * ow), dtype=xp.dtype)
         for i in range(kh):
             for j in range(kw):
-                dxp[:, :, i : i + sh * (oh - 1) + 1 : sh, j : j + sw * (ow - 1) + 1 : sw] += (
-                    dcols[:, i, j]
+                np.matmul(weights.data[:, :, i, j].T, g2, out=tap)
+                phases[i % sh, j % sw, :, :, i // sh : i // sh + oh, j // sw : j // sw + ow] += (
+                    tap.reshape(c, n, oh, ow)
                 )
-        dx = dxp[:, :, pad : pad + h, pad : pad + w] if pad else dxp
-        return dx.transpose(1, 0, 2, 3), dw, db
+        dxp = phases.transpose(2, 3, 4, 0, 5, 1).reshape(c, n, ph * sh, pw * sw)
+        return dxp[:, :, pad : pad + h, pad : pad + w].transpose(1, 0, 2, 3), dw, db
 
     return T.from_op("conv2d", out, (x, weights, bias), bwd)
 
@@ -176,6 +195,9 @@ class Conv2d(Layer):
         self.kernel = (kh, kw)
         self.stride = _pair(stride)
         self.padding = int(padding)
+        _check_sizes("conv", kernel=self.kernel, stride=self.stride)
+        if self.padding < 0:
+            raise ConfigError(f"conv padding must be at least 0, got {self.padding}")
         self.weights = T.Tensor(
             _he_uniform(rng, in_channels * kh * kw, (out_channels, in_channels, kh, kw)),
             requires_grad=True,
@@ -205,6 +227,7 @@ class MaxPool2d(Layer):
     def __init__(self, window=2, stride=None):
         self.window = _pair(window)
         self.stride = _pair(stride if stride is not None else self.window)
+        _check_sizes("pool", window=self.window, stride=self.stride)
 
     def out_shape(self, in_shape):
         if len(in_shape) != 3:

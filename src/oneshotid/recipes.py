@@ -136,9 +136,13 @@ def _parse_section(section, items, key_types):
             raise ConfigError(f"[{section}] has no key {key!r}")
         typ = key_types[key]
         try:
-            out[key] = typ(raw)
+            value = typ(raw)
         except ValueError as exc:
             raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
+        # NaN passes every later range check and none looks for infinity.
+        if isinstance(value, (float, tuple)) and not np.isfinite(value).all():
+            raise ConfigError(f"[{section}] {key} = {raw!r}: not a finite number")
+        out[key] = value
     return out
 
 

@@ -297,6 +297,37 @@ def test_empty_high_caps_spec_is_format_error_and_eval_exits_two(tmp_path, capsy
     assert "HighLevelCapsuleLayer spec" in capsys.readouterr().err
 
 
+# Layer 0 of a siamese tower is a conv, layer 2 a max pool.
+DEGENERATE_WINDOWS = {
+    "conv-stride-zero": (0, {"stride": [0, 0]}, "conv stride must be at least 1, got 0x0"),
+    "conv-kernel-zero": (0, {"kernel": [0, 0]}, "conv kernel must be at least 1, got 0x0"),
+    "conv-stride-negative": (0, {"stride": [-1, -1]}, "conv stride must be at least 1"),
+    "conv-padding-negative": (0, {"padding": -1}, "conv padding must be at least 0, got -1"),
+    "pool-window-zero": (2, {"window": [0, 2]}, "pool window must be at least 1, got 0x2"),
+    "pool-stride-zero": (2, {"stride": [2, 0]}, "pool stride must be at least 1, got 2x0"),
+}
+
+
+@pytest.mark.parametrize("case", list(DEGENERATE_WINDOWS))
+def test_degenerate_window_spec_is_format_error_and_eval_exits_two(tmp_path, capsys, case):
+    index, fields, message = DEGENERATE_WINDOWS[case]
+    path = tmp_path / "model.ckpt"
+    ckpt.save_model(path, L.build_siamese_tower((20, 20, 1), seed=3),
+                    extra={"approach": "siamese-cnn", "margin": 1.0})
+
+    def degenerate(manifest):
+        manifest["stack"]["layers"][index].update(fields)
+        return manifest
+
+    rewrite_manifest(path, degenerate)
+    with pytest.raises(FormatError, match=message):
+        ckpt.load_model(path)
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("a.pgm\tb.pgm\t1\n")
+    assert cli.main(["eval", "--checkpoint", str(path), "--pairs", str(pairs)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_high_caps_routing_iters_survive(tmp_path):
     enc = build_capsnet((12, 12, 1), n_classes=2, d_out=3, conv_channels=(4, 4),
                         kernels=(3, 3), strides=(1, 2), n_p=2, routing_iters=5)

@@ -165,6 +165,13 @@ def test_train_recipe_the_architecture_cannot_take_exits_two(tmp_path, capsys, c
     assert needle in capsys.readouterr().err
 
 
+def test_train_non_finite_augment_range_exits_two_before_writing(tmp_path, capsys):
+    recipe = write_recipe(tmp_path, RECIPE + "\n[augment]\nmultiplier = 1\nrotation = nan nan\n")
+    assert cli.main(["train", "--recipe", recipe, "--out", str(tmp_path / "o")]) == 2
+    assert "[augment] rotation = 'nan nan': not a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_train_missing_recipe_exits_two(tmp_path, capsys):
     rcode = cli.main(["train", "--recipe", str(tmp_path / "absent.cfg"),
                       "--out", str(tmp_path / "o")])

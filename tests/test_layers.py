@@ -1,4 +1,5 @@
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -117,6 +118,11 @@ CONV_CASES = {
     "2x3-s12-p1-c1": ((3, 1, 5, 6), (2, 2, 3), (1, 2), 1),
     "9x9-s2-p0-c1": ((2, 1, 12, 11), (3, 9, 9), (2, 2), 0),
     "9x9-s1-p1": ((1, 2, 10, 9), (2, 9, 9), (1, 1), 1),
+    # The last input row and column are under no tap.
+    "9x9-s2-p0-edge": ((2, 3, 14, 12), (2, 9, 9), (2, 2), 0),
+    # A kernel smaller than its stride leaves whole stride phases without a tap.
+    "2x2-s3-p1": ((2, 3, 8, 7), (2, 2, 2), (3, 3), 1),
+    "5x4-s23-p2": ((2, 3, 9, 11), (2, 5, 4), (2, 3), 2),
 }
 
 
@@ -140,6 +146,8 @@ class TestConv2dOracle:
         for name, a, ref in zip(("y", "dx", "dw", "db"), got, want):
             assert a.dtype == dtype, name
             _assert_close_to_scale(a, ref, rtol)
+        # Input cells that no tap reaches get an exact zero gradient.
+        np.testing.assert_array_equal(got[1][want[1] == 0], 0)
 
     @pytest.mark.parametrize("case", ["3x3-s2-p1", "9x9-s2-p0-c1"])
     def test_input_without_grad_gets_none_and_same_param_grads(self, case):
@@ -157,6 +165,25 @@ class TestConv2dOracle:
                                              x_requires_grad=False)
         assert x_grad is None
         np.testing.assert_array_equal(y, y_ref)
+
+    def test_input_gradient_never_holds_a_column_gradient_matrix(self):
+        rng = np.random.default_rng(12)
+        x = T.Tensor(rng.normal(size=(2, 16, 24, 20)), requires_grad=True)
+        wts, b = _conv_tensors(rng.normal(size=(8, 16, 9, 9)), np.zeros(8))
+        with T.Tape() as tape:
+            y = L.conv2d(x, wts, b, stride=2)
+            (_, _, bwd), = tape._entries
+            g = rng.normal(size=y.shape)
+            tracemalloc.start()
+            try:
+                dx, _, _ = bwd(g)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert dx.shape == x.shape
+        # The [C*kh*kw, N*oh*ow] column gradient alone would take this much.
+        (n, c, _, _), (_, _, kh, kw), (oh, ow) = x.shape, wts.shape, y.shape[2:]
+        assert peak < c * kh * kw * n * oh * ow * g.itemsize
 
 
 class TestMaxPool:

@@ -102,11 +102,25 @@ def test_single_seed_flows_into_train_config():
      "burn count"),
     ("[experiment]\napproach = merged\ndataset = att-faces\n[augment]\nbrightness = -1.2 0.5\n",
      "brightness"),
+    ("[experiment]\napproach = merged\ndataset = att-faces\n[augment]\nrotation = nan nan\n",
+     r"\[augment\] rotation = 'nan nan': not a finite number"),
+    ("[experiment]\napproach = merged\ndataset = att-faces\n[augment]\n"
+     "burn_intensity = nan 0.1\n", r"\[augment\] burn_intensity"),
+    ("[experiment]\napproach = merged\ndataset = att-faces\n[augment]\nblur_sigma = nan\n",
+     r"\[augment\] blur_sigma"),
+    ("[experiment]\napproach = merged\ndataset = att-faces\n[train]\nlr = nan\n",
+     r"\[train\] lr"),
+    ("[experiment]\napproach = merged\ndataset = att-faces\nmargin = inf\n",
+     r"\[experiment\] margin = 'inf': not a finite number"),
+    ("[experiment]\napproach = merged\ndataset = att-faces\n[augment]\nrotation = -inf 5\n",
+     r"\[augment\] rotation"),
 ], ids=["no-approach", "no-dataset", "bad-approach", "unknown-key",
         "unknown-section", "bad-protocol", "bad-merge", "bad-folds",
         "bad-balance", "train-seed-rejected", "bad-augment-key",
         "augment-seed-rejected", "bad-augment-multiplier",
-        "fractional-burn-count", "brightness-beyond-one"])
+        "fractional-burn-count", "brightness-beyond-one", "nan-rotation",
+        "nan-burn-intensity", "nan-blur-sigma", "nan-lr", "infinite-margin",
+        "infinite-rotation"])
 def test_parse_rejects_invalid_recipes(text, needle):
     with pytest.raises(ConfigError, match=needle):
         rc.parse_recipe_text(text)
