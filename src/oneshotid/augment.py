@@ -2,9 +2,11 @@
 
 The chain is: rotate about the image center, shift brightness, perturb
 fine contours with band-limited noise, then composite blurred burn-off
-circles.  Every step is seeded and preserves shape and the [0,1] range;
-with all parameters at their identity values the pipeline returns the
-input bit-for-bit.
+circles.  Every step is seeded and preserves shape and the [0,1] range.
+``AugmentConfig`` is the one place that checks the settings: every value
+must be finite and within its bounds.  ``apply_params`` skips each step
+whose drawn value is its identity, so with all parameters there the
+pipeline returns a float64 copy of the input, bit-for-bit.
 """
 
 import math
@@ -16,23 +18,15 @@ from .errors import ConfigError
 from .rng import derive_rng
 
 
-def rotate_center(img, angle_deg, background=0.0):
+def _rotate(img, angle_deg, background):
     """Rotate a 2-D image about its center with bilinear resampling.
 
     Positive angles follow the row/col convention where 90 degrees equals
     np.rot90(img, 1).  Out-of-frame samples take the background value.
     """
-    if not np.isfinite(angle_deg):
-        raise ConfigError(f"angle must be finite, got {angle_deg}")
-    img = np.asarray(img, dtype=np.float64)
-    if img.ndim != 2:
-        raise ConfigError(f"rotation expects a 2-D image, got shape {img.shape}")
-    angle = angle_deg % 360.0
-    if angle == 0.0:
-        return img.copy()
     h, w = img.shape
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-    theta = math.radians(angle)
+    theta = math.radians(angle_deg % 360.0)
     cos_t, sin_t = math.cos(theta), math.sin(theta)
     rr, cc = np.mgrid[0:h, 0:w]
     y = rr - cy
@@ -59,24 +53,9 @@ def rotate_center(img, angle_deg, background=0.0):
     return np.where(valid, out, background)
 
 
-def adjust_brightness(img, delta):
-    """Add a constant and clamp to [0,1]; |delta| is at most 1."""
-    if abs(delta) > 1:
-        raise ConfigError(f"brightness delta must satisfy |delta| <= 1, got {delta}")
-    img = np.asarray(img)
-    if delta == 0.0:
-        return img.copy()
-    return np.clip(img + delta, 0.0, 1.0)
-
-
-def contour_noise(img, amplitude, sigma=1.0, seed=0):
+def _contour_noise(img, amplitude, sigma, seed):
     """Add band-limited noise: white noise blurred to ``sigma``, unit-scaled,
     times ``amplitude``."""
-    if amplitude < 0:
-        raise ConfigError(f"amplitude must be >= 0, got {amplitude}")
-    img = np.asarray(img)
-    if amplitude == 0.0:
-        return img.copy()
     rng = derive_rng(seed, "contour")
     noise = gaussian_filter(rng.normal(size=img.shape), sigma=sigma)
     std = noise.std()
@@ -85,21 +64,12 @@ def contour_noise(img, amplitude, sigma=1.0, seed=0):
     return np.clip(img + amplitude * noise, 0.0, 1.0)
 
 
-def overlay_blurred_circles(img, count, radii, intensities, sigma, seed=0):
+def _burn_circles(img, count, radii, intensities, sigma, seed):
     """Composite ``count`` Gaussian-blurred discs at seeded positions.
 
     Radii and intensities are (lo, hi) ranges; intensities may be negative
     to darken.  The overlay is blurred as a whole, added, then clamped.
     """
-    if count < 0:
-        raise ConfigError(f"count must be >= 0, got {count}")
-    img = np.asarray(img, dtype=np.float64)
-    if count == 0:
-        return img.copy()
-    r_lo, r_hi = radii
-    i_lo, i_hi = intensities
-    if r_lo < 1 or r_lo > r_hi:
-        raise ConfigError(f"radius range must satisfy 1 <= lo <= hi, got {radii}")
     rng = derive_rng(seed, "circles")
     h, w = img.shape
     overlay = np.zeros_like(img)
@@ -107,20 +77,28 @@ def overlay_blurred_circles(img, count, radii, intensities, sigma, seed=0):
     for _ in range(count):
         cy = rng.uniform(0, h - 1)
         cx = rng.uniform(0, w - 1)
-        r = rng.uniform(r_lo, r_hi)
-        val = rng.uniform(i_lo, i_hi)
+        r = rng.uniform(*radii)
+        val = rng.uniform(*intensities)
         overlay[(yy - cy) ** 2 + (xx - cx) ** 2 <= r * r] += val
     if sigma > 0:
         overlay = gaussian_filter(overlay, sigma=sigma)
     return np.clip(img + overlay, 0.0, 1.0)
 
 
+def _number(name, value, lo_bound=None):
+    value = float(value)
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value}")
+    if lo_bound is not None and value < lo_bound:
+        raise ConfigError(f"{name} must be >= {lo_bound}, got {value}")
+    return value
+
+
 def _range(name, pair, lo_bound=None):
-    lo, hi = (float(v) for v in pair)
+    lo, hi = pair
+    lo, hi = _number(f"{name} range", lo, lo_bound), _number(f"{name} range", hi)
     if lo > hi:
         raise ConfigError(f"{name} range must be ordered, got {pair}")
-    if lo_bound is not None and lo < lo_bound:
-        raise ConfigError(f"{name} range must start at >= {lo_bound}, got {pair}")
     return lo, hi
 
 
@@ -136,22 +114,16 @@ class AugmentConfig:
         self.brightness = _range("brightness", brightness)
         if not (-1.0 <= self.brightness[0] and self.brightness[1] <= 1.0):
             raise ConfigError(f"brightness range must lie within [-1, 1], got {brightness}")
-        if not all(float(v).is_integer() for v in burn_count):
+        lo, hi = _range("burn count", burn_count, lo_bound=0)
+        if not (lo.is_integer() and hi.is_integer()):
             raise ConfigError(f"burn count bounds must be whole numbers, got {burn_count}")
-        lo, hi = (int(v) for v in burn_count)
-        if lo < 0 or lo > hi:
-            raise ConfigError(f"burn count range must satisfy 0 <= lo <= hi, got {burn_count}")
-        self.burn_count = (lo, hi)
+        self.burn_count = (int(lo), int(hi))
         self.burn_radius = _range("burn radius", burn_radius, lo_bound=1.0)
         self.burn_intensity = _range("burn intensity", burn_intensity)
-        if blur_sigma < 0:
-            raise ConfigError(f"blur sigma must be >= 0, got {blur_sigma}")
-        self.blur_sigma = float(blur_sigma)
-        if contour_amplitude < 0:
-            raise ConfigError(f"contour amplitude must be >= 0, got {contour_amplitude}")
-        self.contour_amplitude = float(contour_amplitude)
-        self.contour_sigma = float(contour_sigma)
-        self.background = float(background)
+        self.blur_sigma = _number("blur sigma", blur_sigma, lo_bound=0.0)
+        self.contour_amplitude = _number("contour amplitude", contour_amplitude, lo_bound=0.0)
+        self.contour_sigma = _number("contour sigma", contour_sigma, lo_bound=0.0)
+        self.background = _number("background", background)
         self.seed = int(seed)
 
 
@@ -170,16 +142,16 @@ def draw_params(config, seed):
 
 def apply_params(img, params, config):
     """Run the chain with concrete parameters (rotate, brightness, contour
-    noise, circles), in that order."""
-    out = np.asarray(img, dtype=np.float64)
+    noise, circles), in that order, on a float64 copy of ``img``."""
+    out = np.array(img, dtype=np.float64)
     if params["angle"] % 360.0 != 0.0:
-        out = rotate_center(out, params["angle"], background=config.background)
-    out = adjust_brightness(out, params["brightness"])
+        out = _rotate(out, params["angle"], config.background)
+    if params["brightness"] != 0.0:
+        out = np.clip(out + params["brightness"], 0.0, 1.0)
     if params["contour_amplitude"] > 0:
-        out = contour_noise(out, params["contour_amplitude"],
-                            sigma=config.contour_sigma, seed=params["contour_seed"])
+        out = _contour_noise(out, params["contour_amplitude"], config.contour_sigma,
+                             params["contour_seed"])
     if params["burn_count"] > 0:
-        out = overlay_blurred_circles(out, params["burn_count"], config.burn_radius,
-                                      config.burn_intensity, config.blur_sigma,
-                                      seed=params["burn_seed"])
+        out = _burn_circles(out, params["burn_count"], config.burn_radius,
+                            config.burn_intensity, config.blur_sigma, params["burn_seed"])
     return out

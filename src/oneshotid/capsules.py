@@ -14,7 +14,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ShapeError, StateError
-from .layers import Activation, Conv2d, Dense, Layer, LayerStack, _hwc
+from .layers import Activation, Conv2d, Dense, Layer, LayerStack, _hwc, _whole
 from .rng import derive_rng
 
 
@@ -133,7 +133,7 @@ class PrimaryCapsuleLayer(Layer):
     spec_fields = ("n_p",)
 
     def __init__(self, n_p):
-        self.n_p = int(n_p)
+        self.n_p = _whole("capsule length n_p", n_p)
         if self.n_p < 1:
             raise ConfigError(f"capsule length must be positive, got {n_p}")
 
@@ -169,16 +169,15 @@ class HighLevelCapsuleLayer(Layer):
     def __init__(self, n_in, n_p, n_out, d_out, routing_iters=3, rng=None):
         if rng is None:
             rng = np.random.default_rng(0)
-        if routing_iters < 1:
+        sizes = {"n_in": n_in, "n_p": n_p, "n_out": n_out, "d_out": d_out}
+        sizes = {name: _whole(name, size) for name, size in sizes.items()}
+        self.routing_iters = _whole("routing_iters", routing_iters)
+        if self.routing_iters < 1:
             raise ConfigError(f"routing needs at least 1 iteration, got {routing_iters}")
-        for name, size in (("n_in", n_in), ("n_p", n_p), ("n_out", n_out), ("d_out", d_out)):
+        for name, size in sizes.items():
             if size < 1:
                 raise ConfigError(f"high-level capsules need {name} >= 1, got {size}")
-        self.n_in = int(n_in)
-        self.n_p = int(n_p)
-        self.n_out = int(n_out)
-        self.d_out = int(d_out)
-        self.routing_iters = int(routing_iters)
+        self.n_in, self.n_p, self.n_out, self.d_out = sizes.values()
         limit = np.sqrt(6.0 / n_p)
         self.weights = T.Tensor(
             rng.uniform(-limit, limit, size=(n_in, n_out, d_out, n_p)), requires_grad=True

@@ -14,7 +14,8 @@ A layer's spec is its ``kind`` plus the attributes its ``spec_fields``
 names (see ``layers.Layer``), so loading calls the class registered for
 that kind with them; initializer arguments such as ``rng`` are left out
 because the parameters are loaded afterwards.  A spec whose kind is
-unknown, or whose keys differ from ``spec_fields``, is a FormatError.
+unknown, or whose keys differ from ``spec_fields``, is a FormatError; so
+is a NaN or infinite number anywhere in the manifest.
 """
 
 import json
@@ -103,6 +104,17 @@ def _param_spec(spec, where):
     return name, shape, dtype
 
 
+def _finite_object(pairs):
+    """JSON object hook: ``json.loads`` reads ``NaN``, ``Infinity`` and an
+    overflowing literal such as ``1e400`` as floats that are not finite; each,
+    as a value or a list item, is a ValueError naming its key."""
+    for key, value in pairs:
+        for v in value if isinstance(value, list) else [value]:
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ValueError(f"{key!r} holds a non-finite number: {value!r}")
+    return dict(pairs)
+
+
 def write_checkpoint(path, manifest, named_arrays):
     """Low-level writer; ``named_arrays`` is a list of (name, ndarray)."""
     manifest = dict(manifest)
@@ -135,8 +147,8 @@ def read_checkpoint(path):
         if len(blob) < mlen:
             raise FormatError(f"{path}: truncated manifest")
         try:
-            manifest = json.loads(blob.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            manifest = json.loads(blob.decode("utf-8"), object_pairs_hook=_finite_object)
+        except ValueError as exc:
             raise FormatError(f"{path}: bad manifest: {exc}") from exc
         arrays = []
         for k, spec in enumerate(_field(manifest, "params", f"{path} manifest", list)):

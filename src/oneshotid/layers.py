@@ -25,6 +25,7 @@ with the output in the same tap order, so no index array is ever built.
 """
 
 import math
+import numbers
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -34,12 +35,20 @@ from .errors import ConfigError, ShapeError
 from .rng import derive_rng
 
 
-def _pair(v):
+def _whole(name, v):
+    """``v`` as an int; a ConfigError naming ``name`` unless it is a whole
+    number (a Python or numpy int; a bool or a float is not one)."""
+    if isinstance(v, numbers.Integral) and not isinstance(v, bool):
+        return int(v)
+    raise ConfigError(f"{name} must be a whole number, got {v!r}")
+
+
+def _pair(name, v):
     if isinstance(v, (tuple, list)):
         if len(v) != 2:
             raise ShapeError(f"expected a pair, got {v!r}")
-        return int(v[0]), int(v[1])
-    return int(v), int(v)
+        return _whole(name, v[0]), _whole(name, v[1])
+    return _whole(name, v), _whole(name, v)
 
 
 def _check_sizes(op, **pairs):
@@ -85,8 +94,8 @@ def conv2d(x, weights, bias, stride=1, padding=0):
     o, cw, kh, kw = weights.shape
     if c != cw:
         raise ShapeError(f"conv2d channel mismatch: input has {c}, weights expect {cw}")
-    sh, sw = _pair(stride)
-    pad = int(padding)
+    sh, sw = _pair("conv stride", stride)
+    pad = _whole("conv padding", padding)
     oh, ow = _window_extent("conv", h, w, (kh, kw), (sh, sw), pad)
 
     xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
@@ -132,8 +141,8 @@ def maxpool2d(x, window, stride=None):
     """
     if x.ndim != 4:
         raise ShapeError(f"maxpool2d input must be [N,C,H,W], got {x.shape}")
-    ph, pw = _pair(window)
-    sh, sw = _pair(stride if stride is not None else (ph, pw))
+    ph, pw = _pair("pool window", window)
+    sh, sw = _pair("pool stride", stride if stride is not None else (ph, pw))
     oh, ow = _window_extent("pool", *x.shape[2:], (ph, pw), (sh, sw))
 
     xd = x.data
@@ -187,14 +196,14 @@ class Conv2d(Layer):
     spec_fields = ("in_channels", "out_channels", "kernel", "stride", "padding")
 
     def __init__(self, in_channels, out_channels, kernel=3, stride=1, padding=0, rng=None):
-        kh, kw = _pair(kernel)
+        kh, kw = _pair("conv kernel", kernel)
         if rng is None:
             rng = np.random.default_rng(0)
-        self.in_channels = in_channels
-        self.out_channels = out_channels
+        self.in_channels = _whole("conv in_channels", in_channels)
+        self.out_channels = _whole("conv out_channels", out_channels)
         self.kernel = (kh, kw)
-        self.stride = _pair(stride)
-        self.padding = int(padding)
+        self.stride = _pair("conv stride", stride)
+        self.padding = _whole("conv padding", padding)
         _check_sizes("conv", kernel=self.kernel, stride=self.stride)
         if self.padding < 0:
             raise ConfigError(f"conv padding must be at least 0, got {self.padding}")
@@ -225,8 +234,8 @@ class MaxPool2d(Layer):
     spec_fields = ("window", "stride")
 
     def __init__(self, window=2, stride=None):
-        self.window = _pair(window)
-        self.stride = _pair(stride if stride is not None else self.window)
+        self.window = _pair("pool window", window)
+        self.stride = _pair("pool stride", stride if stride is not None else self.window)
         _check_sizes("pool", window=self.window, stride=self.stride)
 
     def out_shape(self, in_shape):
@@ -246,8 +255,8 @@ class Dense(Layer):
     def __init__(self, in_features, out_features, rng=None):
         if rng is None:
             rng = np.random.default_rng(0)
-        self.in_features = in_features
-        self.out_features = out_features
+        self.in_features = _whole("dense in_features", in_features)
+        self.out_features = _whole("dense out_features", out_features)
         self.weights = T.Tensor(
             _he_uniform(rng, in_features, (in_features, out_features)), requires_grad=True
         )
@@ -276,6 +285,8 @@ class Activation(Layer):
     def __init__(self, name, alpha=0.01):
         if name not in self._names:
             raise ShapeError(f"unknown activation {name!r}")
+        if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real):
+            raise ConfigError(f"activation alpha must be a real number, got {alpha!r}")
         self.name = name
         self.alpha = alpha
 

@@ -160,13 +160,15 @@ def test_missing_manifest_key_is_format_error_and_eval_exits_two(tmp_path, capsy
     assert repr(last) in capsys.readouterr().err
 
 
-def rewrite_manifest(path, edit):
+def rewrite_manifest(path, edit, literal=None):
     """Replace the manifest of the checkpoint at ``path`` with
     ``edit(manifest)``, keeping its parameter bytes (write_checkpoint would
-    rebuild ``params``)."""
+    rebuild ``params``).  With ``literal``, each JSON string ``"@"`` in the
+    edited manifest becomes that raw text, such as ``1e400``."""
     raw = path.read_bytes()
     (mlen,) = struct.unpack("<Q", raw[12:20])
-    blob = json.dumps(edit(json.loads(raw[20:20 + mlen]))).encode("utf-8")
+    text = json.dumps(edit(json.loads(raw[20:20 + mlen])))
+    blob = (text if literal is None else text.replace('"@"', literal)).encode("utf-8")
     path.write_bytes(raw[:12] + struct.pack("<Q", len(blob)) + blob + raw[20 + mlen:])
 
 
@@ -234,6 +236,43 @@ def test_malformed_manifest_key_is_format_error_and_eval_exits_two(tmp_path, cap
     path = tmp_path / "model.ckpt"
     ckpt.save_model(path, small_stack(), extra={"approach": "siamese-cnn", "margin": 1.0})
     rewrite_manifest(path, edit)
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("a.pgm\tb.pgm\t1\n")
+    assert cli.main(["eval", "--checkpoint", str(path), "--pairs", str(pairs)]) == 2
+    assert needle in capsys.readouterr().err
+
+
+def _with_layer_key(index, key, value):
+    def edit(m):
+        m["stack"]["layers"][index][key] = value
+        return m
+    return edit
+
+
+# (edit putting the marker "@" where the number goes, the number's JSON
+# text, the key the error names).  json.loads reads every one of these.
+NON_FINITE = {
+    "threshold-nan": (_with_extra_key("threshold", "@"), "NaN", "threshold"),
+    "threshold-infinity": (_with_extra_key("threshold", "@"), "Infinity", "threshold"),
+    "threshold-overflow": (_with_extra_key("threshold", "@"), "1e400", "threshold"),
+    "margin-nan": (_with_extra_key("margin", "@"), "NaN", "margin"),
+    "margin-minus-infinity": (_with_extra_key("margin", "@"), "-Infinity", "margin"),
+    "act-alpha-nan": (_with_layer_key(5, "alpha", "@"), "NaN", "alpha"),
+    "conv-stride-overflow": (_with_layer_key(0, "stride", [1, "@"]), "-1e400", "stride"),
+}
+
+
+@pytest.mark.parametrize("case", list(NON_FINITE))
+def test_non_finite_manifest_number_is_format_error_and_eval_exits_two(tmp_path, capsys,
+                                                                       case):
+    edit, literal, key = NON_FINITE[case]
+    path = tmp_path / "model.ckpt"
+    ckpt.save_model(path, small_stack(), extra={"approach": "siamese-cnn", "margin": 1.0,
+                                                "threshold": 0.5})
+    rewrite_manifest(path, edit, literal)
+    needle = f"{key!r} holds a non-finite number"
+    with pytest.raises(FormatError, match=needle):
+        ckpt.read_checkpoint(path)
     pairs = tmp_path / "pairs.tsv"
     pairs.write_text("a.pgm\tb.pgm\t1\n")
     assert cli.main(["eval", "--checkpoint", str(path), "--pairs", str(pairs)]) == 2
@@ -320,6 +359,59 @@ def test_degenerate_window_spec_is_format_error_and_eval_exits_two(tmp_path, cap
         return manifest
 
     rewrite_manifest(path, degenerate)
+    with pytest.raises(FormatError, match=message):
+        ckpt.load_model(path)
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("a.pgm\tb.pgm\t1\n")
+    assert cli.main(["eval", "--checkpoint", str(path), "--pairs", str(pairs)]) == 2
+    assert message in capsys.readouterr().err
+
+
+# (tower, layer index, spec fields, message): a size that is not a whole
+# number, or an alpha that is not a real number.  Layer 0 of either tower is
+# a conv, layer 2 of the siamese tower a max pool; the capsule tower ends in
+# a leaky ReLU at 3, the primary capsules and the high-level capsules.
+NOT_WHOLE = {
+    "conv-stride-fractional": ("siamese", 0, {"stride": [1.9, 1.9]},
+                               "conv stride must be a whole number, got 1.9"),
+    "conv-kernel-bool": ("siamese", 0, {"kernel": [True, 3]},
+                         "conv kernel must be a whole number, got True"),
+    "conv-padding-fractional": ("siamese", 0, {"padding": 0.5},
+                                "conv padding must be a whole number, got 0.5"),
+    "conv-channels-bool": ("siamese", 0, {"in_channels": True},
+                           "conv in_channels must be a whole number, got True"),
+    "pool-window-fractional": ("siamese", 2, {"window": [2.5, 2.5]},
+                               "pool window must be a whole number, got 2.5"),
+    "primary-caps-fractional": ("capsule", 4, {"n_p": 4.5},
+                                "capsule length n_p must be a whole number, got 4.5"),
+    "high-caps-routing-fractional": ("capsule", 5, {"routing_iters": 2.5},
+                                     "routing_iters must be a whole number, got 2.5"),
+    "high-caps-n-out-bool": ("capsule", 5, {"n_out": True},
+                             "n_out must be a whole number, got True"),
+    "act-alpha-string": ("capsule", 3, {"alpha": "x"},
+                         "activation alpha must be a real number, got 'x'"),
+    "act-alpha-bool": ("capsule", 3, {"alpha": True},
+                       "activation alpha must be a real number, got True"),
+}
+
+
+@pytest.mark.parametrize("case", list(NOT_WHOLE))
+def test_fractional_or_boolean_spec_is_format_error_and_eval_exits_two(tmp_path, capsys,
+                                                                       case):
+    tower, index, fields, message = NOT_WHOLE[case]
+    path = tmp_path / "model.ckpt"
+    if tower == "siamese":
+        ckpt.save_model(path, L.build_siamese_tower((20, 20, 1), seed=3),
+                        extra={"approach": "siamese-cnn", "margin": 1.0})
+    else:
+        ckpt.save_model(path, capsule_tower(),
+                        extra={"approach": "siamese-capsnet", "margin": 1.0})
+
+    def edit(manifest):
+        manifest["stack"]["layers"][index].update(fields)
+        return manifest
+
+    rewrite_manifest(path, edit)
     with pytest.raises(FormatError, match=message):
         ckpt.load_model(path)
     pairs = tmp_path / "pairs.tsv"
