@@ -5,9 +5,10 @@ A capsule is a small vector whose length encodes confidence and whose
 direction encodes pose.  Primary capsules are carved out of conv feature
 maps; high-level capsules are computed by routing-by-agreement over
 per-capsule linear predictions.  Routing state is rebuilt from zeros on
-every forward pass.  Routing is one tape op whose hand-written backward
-runs through the unrolled iterations; its softmax and squash are the same
-functions the rest of the network uses, applied to untracked tensors.
+every forward pass.  Squash is one tape op with a closed-form gradient;
+routing is one tape op whose hand-written backward runs through the
+unrolled iterations.  Both call the same two numpy squash helpers, and
+routing applies the network's softmax op to untracked tensors.
 """
 
 import numpy as np
@@ -18,15 +19,28 @@ from .layers import Activation, Conv2d, Dense, Layer, LayerStack, _hwc, _whole
 from .rng import derive_rng
 
 
+def _squash(s, axis):
+    """squash(s) along ``axis`` and the norm n = ||s|| (kept as an axis)."""
+    n = np.sqrt((s * s).sum(axis=axis, keepdims=True))
+    return s * (n / (1 + n * n)), n
+
+
+def _squash_grad(g, s, n, axis):
+    """The gradient of squash(s) for upstream g; dn/ds divides by n + eps."""
+    q = 1.0 + n * n
+    df = (1.0 - n * n) / (q * q)
+    return g * (n / q) + s * ((g * s).sum(axis=axis, keepdims=True) * df / (n + T._EPS))
+
+
 def squash(g, axis=-1):
     """Shrink vector g along ``axis`` to length ||g||^2/(1+||g||^2) < 1.
 
-    Equals g * ||g|| / (1 + ||g||^2), which is 0 at g = 0; the gradient at
-    the origin is finite because the norm's backward is eps-stabilized.
+    Equals g * ||g|| / (1 + ||g||^2), which is 0 at g = 0.  One tape op
+    whose closed-form gradient is finite at the origin, because it
+    divides by ||g|| + eps; routing calls the same two helpers.
     """
-    n = T.l2norm(g, axis=axis, keepdims=True)
-    factor = T.div(n, T.add(1.0, T.square(n)))
-    return T.mul(g, factor)
+    v, n = _squash(g.data, axis)
+    return T.from_op("squash", v, (g,), lambda grad: (_squash_grad(grad, g.data, n, axis),))
 
 
 class RoutingState:
@@ -70,8 +84,7 @@ def dynamic_route(u_hat, iterations=3):
         c = T.softmax(T.Tensor(b), axis=1).data
         history.append(np.array(c.swapaxes(1, 2)).reshape(lead + (n_p, n_j)))
         s = (c[:, :, None, :] @ u)[:, :, 0]
-        v = squash(T.Tensor(s)).data
-        n = np.sqrt((s * s).sum(axis=-1, keepdims=True))
+        v, n = _squash(s, -1)
         saved.append((c, s, n, v))
         if it < iterations - 1:
             b += (u @ v[..., None])[..., 0]
@@ -90,11 +103,7 @@ def dynamic_route(u_hat, iterations=3):
                 gv = (gb[:, :, None, :] @ u)[:, :, 0]
                 cols.append(gb)
                 rows.append(v_it)
-            # squash(s) = s * f(n) with f(n) = n / (1 + n^2); like l2norm,
-            # dn/ds divides by n + eps
-            q = 1.0 + n * n
-            df = (1.0 - n * n) / (q * q)
-            gs = gv * (n / q) + s * ((gv * s).sum(axis=-1, keepdims=True) * df / (n + T._EPS))
+            gs = _squash_grad(gv, s, n, -1)
             cols.append(c)
             rows.append(gs)
             if it:
@@ -297,9 +306,6 @@ class CapsNet:
 
     def params(self):
         return self.encoder.params() + self.decoder.params()
-
-    def encode(self, x):
-        return self.encoder(x)
 
     def reconstruct(self, x):
         """Encode then decode through the capsule strongest on average

@@ -15,7 +15,8 @@ names (see ``layers.Layer``), so loading calls the class registered for
 that kind with them; initializer arguments such as ``rng`` are left out
 because the parameters are loaded afterwards.  A spec whose kind is
 unknown, or whose keys differ from ``spec_fields``, is a FormatError; so
-is a NaN or infinite number anywhere in the manifest.
+is a NaN or infinite number anywhere in the manifest, and so are layers
+whose shapes do not chain from the stack's ``input_shape``.
 """
 
 import json
@@ -27,7 +28,7 @@ import numpy as np
 from . import capsules as caps
 from . import layers as L
 from .atomic import atomic_open
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, ShapeError
 from .pairing import MERGE_MODES
 from .trainer import DistancePairModel, MergedPairModel
 
@@ -204,7 +205,11 @@ def _stack_from_checkpoint(manifest, arrays):
     spec = _field(manifest, "stack", "manifest")
     layers = _field(spec, "layers", "stack", list)
     shape = _sizes(spec, "input_shape", "stack")
-    stack = L.LayerStack([_build_layer(s) for s in layers], tuple(shape))
+    try:
+        stack = L.LayerStack([_build_layer(s) for s in layers], tuple(shape))
+    except ShapeError as exc:
+        raise FormatError(f"checkpoint stack does not chain from input_shape "
+                          f"{shape}: {exc}") from exc
     _load_into(stack, arrays)
     return stack
 

@@ -258,10 +258,11 @@ def build_model(recipe, dataset, seed):
     """
     init = derive_seed(seed, "init")
     image = dataset.images[0]
-    if recipe.approach == "merged":
-        image = merge(image, image, recipe.merge_mode)
-    shape = image.shape + (1,) if image.ndim == 2 else image.shape
+    shape = image.shape
     try:
+        if recipe.approach == "merged":
+            image = merge(image, image, recipe.merge_mode)
+        shape = image.shape + (1,) if image.ndim == 2 else image.shape
         if recipe.approach == "merged":
             return MergedPairModel(build_merged_cnn(shape, seed=init),
                                    merge_mode=recipe.merge_mode)
@@ -405,9 +406,12 @@ def run_merge_comparison(recipe, data_dir, out_dir):
     """
     dataset, entries = _start_run(recipe, data_dir, out_dir, "compare-merging")
     train_ds, val_ds = kfold_split(dataset, recipe.folds, 0, seed=recipe.seed)
+    variants = [dataclasses.replace(recipe, approach="merged", merge_mode=mode)
+                for mode in MERGE_MODES]
+    for variant in variants:  # a mode the images cannot take fails before any trains
+        build_model(variant, train_ds, variant.seed)
     rows = []
-    for mode in MERGE_MODES:
-        variant = dataclasses.replace(recipe, approach="merged", merge_mode=mode)
+    for mode, variant in zip(MERGE_MODES, variants):
         report = _run_single(variant, train_ds, val_ds, variant.train,
                              out_dir=out_dir, tag=mode)
         rows.append((mode, report.test_accuracy))

@@ -216,19 +216,6 @@ def mul(a, b):
     return from_op("mul", data, (a, b), bwd)
 
 
-def div(a, b):
-    a, b = _as_tensor(a, b), _as_tensor(b, a)
-    data = a.data / b.data
-    ad, bd = a.data, b.data
-
-    def bwd(g):
-        ga = _unbroadcast(g / bd, ad.shape)
-        gb = _unbroadcast(-g * ad / (bd * bd), bd.shape)
-        return ga, gb
-
-    return from_op("div", data, (a, b), bwd)
-
-
 def square(x):
     x = _as_tensor(x)
     xd = x.data
@@ -335,7 +322,7 @@ def softmax(x, axis=-1):
     return from_op("softmax", y, (x,), bwd)
 
 
-def l2norm(x, axis=-1, keepdims=False):
+def l2norm(x, axis=-1):
     """Euclidean norm along ``axis``.
 
     The backward pass divides by ``norm + _EPS`` so the gradient stays
@@ -347,12 +334,9 @@ def l2norm(x, axis=-1, keepdims=False):
     xd = x.data
 
     def bwd(g):
-        if not keepdims:
-            g = np.expand_dims(g, ax)
-        return (g * xd / (n + _EPS),)
+        return (np.expand_dims(g, ax) * xd / (n + _EPS),)
 
-    data = n if keepdims else n.squeeze(ax)
-    return from_op("l2norm", data, (x,), bwd)
+    return from_op("l2norm", n.squeeze(ax), (x,), bwd)
 
 
 def logsumexp(x, axis=-1):

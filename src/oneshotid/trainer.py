@@ -202,8 +202,7 @@ class MergedPairModel:
         return _chw(merge(image, image, self.merge_mode)).shape, self.stack.input_shape
 
     def batch_stats(self, pairs, dtype):
-        imgs = [_chw(merge(p.a, p.b, self.merge_mode)) for p in pairs]
-        x = np.stack(imgs).astype(dtype, copy=False)
+        x = _stack_chw([merge(p.a, p.b, self.merge_mode) for p in pairs], dtype)
         y = np.array([p.y for p in pairs], dtype=np.int64)
         logits = self.stack(Tensor(x, requires_grad=False))
         loss = cross_entropy(logits, y)
@@ -469,7 +468,7 @@ def train_reconstruction(model, images, config):
     imgs = imgs.astype(config.dtype, copy=False)
 
     def step(idx):
-        v = model.encode(Tensor(imgs[idx][:, None, :, :], requires_grad=False))
+        v = model.encoder(Tensor(imgs[idx][:, None, :, :], requires_grad=False))
         mask = np.argmax(capsule_scores(v).data, axis=1)
         decoded = model.decoder.decode(v, mask)
         target = Tensor(imgs[idx], requires_grad=False)

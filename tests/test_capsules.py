@@ -93,6 +93,24 @@ class TestSquash:
         rng = np.random.default_rng(17)
         g = rng.normal(size=(4, 5)) + 0.3
         check_grads(lambda t: T.tsum(T.square(C.squash(t))), [g], tol=1e-4)
+        check_grads(lambda t: T.tsum(T.square(C.squash(t, axis=0))), [g], tol=1e-4)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("axis", [-1, 0])
+    def test_forward_is_the_formula_exactly(self, dtype, axis):
+        g = np.random.default_rng(79).normal(scale=3.0, size=(4, 6)).astype(dtype)
+        n = np.sqrt((g * g).sum(axis=axis, keepdims=True))
+        v = C.squash(T.Tensor(g), axis=axis).data
+        assert v.dtype == dtype
+        assert np.array_equal(v, g * (n / (1 + n * n)))
+
+    def test_one_tape_entry_and_finite_gradient_at_zero(self):
+        g = T.Tensor(np.zeros((2, 4)), requires_grad=True)
+        with T.Tape() as tape:
+            v = C.squash(g)
+            assert len(tape) == 1
+            T.backward(T.tsum(T.mul(v, T.Tensor(np.ones((2, 4))))))
+        assert np.array_equal(g.grad, np.zeros((2, 4)))
 
 
 class TestDynamicRoute:
@@ -257,6 +275,12 @@ class TestPrimaryCapsules:
         assert u.shape == (2, 18, 4)
         norms = np.linalg.norm(u.data, axis=-1)
         assert (norms < 1).all()
+
+    def test_forward_records_four_tape_entries(self):
+        x = T.Tensor(np.random.default_rng(61).normal(size=(2, 8, 3, 3)), requires_grad=True)
+        with T.Tape() as tape:
+            C.PrimaryCapsuleLayer(n_p=4).forward(x)
+            assert len(tape) == 4
 
     def test_grouping_keeps_channel_blocks_together(self):
         # channel block g at location (i,j) becomes one capsule vector

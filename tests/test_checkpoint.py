@@ -279,6 +279,34 @@ def test_non_finite_manifest_number_is_format_error_and_eval_exits_two(tmp_path,
     assert needle in capsys.readouterr().err
 
 
+# Each makes the layer specs no longer chain from the stack's input_shape.
+UNCHAINED = {
+    "input-too-small": (_with_stack_key("input_shape", [2, 2, 2]),
+                        "conv window 3x3 does not fit input 2x2"),
+    "input-channels": (_with_stack_key("input_shape", [3, 8, 8]),
+                       "conv expects 2 channels, got 3"),
+    "input-rank": (_with_stack_key("input_shape", [2, 8]),
+                   "conv expects (C,H,W) input, got (2, 8)"),
+    "dense-in-features": (_with_layer_key(4, "in_features", 37),
+                          "dense expects (37,) input, got (36,)"),
+}
+
+
+@pytest.mark.parametrize("case", list(UNCHAINED))
+def test_unchained_stack_is_format_error_and_eval_exits_two(tmp_path, capsys, case):
+    edit, needle = UNCHAINED[case]
+    path = tmp_path / "model.ckpt"
+    ckpt.save_model(path, small_stack(), extra={"approach": "siamese-cnn", "margin": 1.0})
+    rewrite_manifest(path, edit)
+    with pytest.raises(FormatError, match="does not chain from input_shape") as info:
+        ckpt.load_model(path)
+    assert needle in str(info.value)
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("a.pgm\tb.pgm\t1\n")
+    assert cli.main(["eval", "--checkpoint", str(path), "--pairs", str(pairs)]) == 2
+    assert needle in capsys.readouterr().err
+
+
 def test_stack_round_trip_params_and_outputs(tmp_path):
     stack = small_stack()
     path = tmp_path / "stack.ckpt"

@@ -8,7 +8,7 @@ import pytest
 from oneshotid import cli
 from oneshotid import layers as L
 from oneshotid.checkpoint import read_checkpoint, save_model, write_checkpoint
-from oneshotid.datasets import read_pgm, write_pgm
+from oneshotid.datasets import read_pgm, write_matrix, write_pgm
 from oneshotid.errors import DataError
 from oneshotid.pairing import PairSample, read_pair_manifest
 from oneshotid.tensor import Tensor
@@ -163,6 +163,50 @@ def test_train_recipe_the_architecture_cannot_take_exits_two(tmp_path, capsys, c
                                                           extra=extra))
     assert cli.main(["train", "--recipe", recipe, "--out", str(tmp_path / "o")]) == 2
     assert needle in capsys.readouterr().err
+
+
+NORB_HJOIN_RECIPE = """
+[experiment]
+approach = merged
+merge_mode = h-join
+dataset = smallnorb
+protocol = kfold
+folds = 2
+n_pairs = 8
+n_val_pairs = 6
+seed = 3
+
+[train]
+batch_size = 8
+epochs = 1
+"""
+
+
+def write_norb_fixture(directory, n=40, size=24):
+    """A smallNORB-format training split of n random [size, size, 2]
+    examples: 5 categories x 2 instances, so 10 toys."""
+    directory.mkdir()
+    rng = np.random.default_rng(0)
+    write_matrix(directory / "fixture-training-dat.mat",
+                 rng.integers(0, 256, size=(n, 2, size, size)).astype(np.uint8))
+    write_matrix(directory / "fixture-training-cat.mat", (np.arange(n) % 5).astype(np.int32))
+    info = np.zeros((n, 4), dtype=np.int32)
+    info[:, 0] = np.arange(n) // 5 % 2
+    write_matrix(directory / "fixture-training-info.mat", info)
+    return directory
+
+
+@pytest.mark.parametrize("command", ["train", "compare-merging"])
+def test_merge_mode_the_images_cannot_take_exits_two_before_training(tmp_path, capsys,
+                                                                    command):
+    data = write_norb_fixture(tmp_path / "norb")
+    recipe = write_recipe(tmp_path, NORB_HJOIN_RECIPE)
+    out = tmp_path / "o"
+    assert cli.main([command, "--recipe", recipe, "--data-dir", str(data),
+                     "--out", str(out)]) == 2
+    assert ("approach merged cannot take input shape (24, 24, 2): "
+            "h-join needs [H,W] images") in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_train_non_finite_augment_range_exits_two_before_writing(tmp_path, capsys):

@@ -192,6 +192,13 @@ def test_downscale_applies():
     assert ds.images.shape[1:] == (12, 12)
 
 
+def test_build_model_merge_mode_the_images_cannot_take_is_config_error():
+    ds = Dataset(np.zeros((4, 24, 24, 2)), np.array([0, 0, 1, 1]))
+    with pytest.raises(ConfigError, match=r"approach merged cannot take input shape "
+                                          r"\(24, 24, 2\): h-join needs \[H,W\] images"):
+        rc.build_model(small_recipe(merge_mode="h-join"), ds, seed=0)
+
+
 def test_build_model_merged_shapes():
     recipe = small_recipe(merge_mode="h-join")
     ds = rc.load_recipe_dataset(recipe, None)

@@ -196,9 +196,9 @@ def test_grads_add_across_separate_tapes():
 
 
 def test_nonfinite_output_raises():
-    with np.errstate(divide="ignore"):
+    with np.errstate(over="ignore"):
         with pytest.raises(NumericError):
-            T.div(T.Tensor([1.0]), T.Tensor([0.0]))
+            T.mul(T.Tensor([1e300]), T.Tensor([1e300]))
 
 
 def test_forward_determinism():
@@ -229,11 +229,9 @@ class TestGradientCorrectness:
         rng = np.random.default_rng(29)
         a = rng.normal(size=(3, 4))
         b = rng.normal(size=(3, 4))
-        c = rng.uniform(0.5, 2.0, size=(3, 4))
         check_grads(lambda x, y: T.tsum(T.add(x, y)), [a, b], tol=1e-4)
         check_grads(lambda x, y: T.tsum(T.sub(x, y)), [a, b], tol=1e-4)
         check_grads(lambda x, y: T.tsum(T.mul(x, y)), [a, b], tol=1e-4)
-        check_grads(lambda x, y: T.tsum(T.div(x, y)), [a, c], tol=1e-4)
 
     def test_broadcast_grads(self):
         rng = np.random.default_rng(31)
@@ -273,11 +271,6 @@ def test_l2norm_values():
     x = T.Tensor([[3.0, 4.0], [0.0, 0.0]])
     n = T.l2norm(x, axis=1)
     np.testing.assert_allclose(n.data, [5.0, 0.0])
-
-
-def test_l2norm_keepdims():
-    x = T.Tensor(np.ones((2, 3)))
-    assert T.l2norm(x, axis=1, keepdims=True).shape == (2, 1)
 
 
 def test_numeric_grad_self_check():

@@ -1,0 +1,115 @@
+"""Digest every artifact of a fixed end-to-end run of the oneshotid CLI.
+
+Usage: PYTHONPATH=src python tools/artifact_digests.py OUT
+
+Runs, in this process and inside the new directory OUT:
+
+- ``gen-synthetic`` of 4 classes x 4 views at 24 px;
+- ``train`` of each approach on synthetic anodes of the same size, once
+  with hold-out and once with 2-fold k-fold;
+- ``eval`` of every checkpoint on one pair manifest over the generated
+  tree, with and without ``--identify``.
+
+Prints each command with its exit code, stdout and stderr, then one
+``sha256 path`` line per file under OUT, in sorted order; a
+``summary.txt`` is hashed without its ``wall_time`` line.  Paths are
+relative to OUT and BLAS runs on one thread, so the outputs for two
+source trees (chosen by PYTHONPATH) can be compared with ``diff``:
+
+    PYTHONPATH=src python tools/artifact_digests.py /tmp/new > new.txt
+    PYTHONPATH=../old/src python tools/artifact_digests.py /tmp/old > old.txt
+    diff old.txt new.txt
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+from oneshotid import cli  # noqa: E402  (after the BLAS thread setting)
+from oneshotid.recipes import APPROACHES, PROTOCOLS  # noqa: E402
+
+CLASSES, VIEWS, SIZE = 4, 4, 24
+
+RECIPE = f"""[experiment]
+approach = {{approach}}
+dataset = synthetic-anodes
+protocol = {{protocol}}
+folds = 2
+held_out_classes = 2
+n_pairs = 8
+n_val_pairs = 6
+synthetic_classes = {CLASSES}
+synthetic_views = {VIEWS}
+image_size = {SIZE}
+caps_classes = 3
+caps_d_out = 4
+routing_iters = 2
+seed = 3
+
+[train]
+batch_size = 8
+epochs = 2
+"""
+
+
+def run(*argv):
+    """Run one CLI command and print it with its exit code and output."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    print(f"$ oneshotid {' '.join(argv)}\nexit {code}")
+    print(f"--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}", end="")
+
+
+def write_pair_manifest(path):
+    """The first view of each class against every other generated image."""
+    with open(path, "w", encoding="utf-8") as f:
+        for c in range(CLASSES):
+            query = f"synth/s{c}/1.pgm"
+            for d in range(CLASSES):
+                for view in range(1, VIEWS + 1):
+                    other = f"synth/s{d}/{view}.pgm"
+                    if other != query:
+                        f.write(f"{query}\t{other}\t{int(c == d)}\n")
+
+
+def digest(path):
+    with open(path, "rb") as f:
+        data = f.read()
+    if os.path.basename(path) == "summary.txt":
+        data = b"".join(line for line in data.splitlines(keepends=True)
+                        if not line.startswith(b"wall_time="))
+    return hashlib.sha256(data).hexdigest()
+
+
+def main(out):
+    os.makedirs(out)
+    os.chdir(out)
+    run("gen-synthetic", "--out", "synth", "--classes", str(CLASSES),
+        "--views", str(VIEWS), "--size", str(SIZE))
+    write_pair_manifest("pairs.tsv")
+    for approach in APPROACHES:
+        for protocol in PROTOCOLS:
+            name = f"{approach}-{protocol}"
+            with open(f"{name}.cfg", "w", encoding="utf-8") as f:
+                f.write(RECIPE.format(approach=approach, protocol=protocol))
+            run("train", "--recipe", f"{name}.cfg", "--out", name)
+            ckpt = f"{name}/model.ckpt" if protocol == "holdout" else f"{name}/fold-0/model.ckpt"
+            run("eval", "--checkpoint", ckpt, "--pairs", "pairs.tsv")
+            run("eval", "--checkpoint", ckpt, "--pairs", "pairs.tsv", "--identify")
+    for root, dirs, files in os.walk("."):
+        dirs.sort()
+        for name in sorted(files):
+            path = os.path.relpath(os.path.join(root, name))
+            print(f"{digest(path)}  {path}")
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(__doc__)
+    main(sys.argv[1])
