@@ -6,12 +6,24 @@ file next to the target, which then replaces the target in one
 ``os.replace``.  A run that fails or is interrupted while writing leaves
 the previous file as it was and no temporary file behind.  Run summaries,
 manifests and sidecars share one ``key=value`` line format, written by
-``write_key_values``.
+``write_key_values``.  The readers of checkpoints, PGM images and matrix
+files take their payloads through ``read_exactly``, which checks a size
+that a header claims against the file before reading.
 """
 
 import os
 import secrets
 from contextlib import contextmanager
+
+
+def read_exactly(f, nbytes):
+    """The next ``nbytes`` bytes of the binary file ``f``, or None if it
+    holds fewer.  The size is checked before reading, so a header that
+    claims more than the file holds never allocates the claimed size."""
+    if nbytes > os.fstat(f.fileno()).st_size - f.tell():
+        return None
+    data = f.read(nbytes)
+    return data if len(data) == nbytes else None
 
 
 @contextmanager

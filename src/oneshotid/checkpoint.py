@@ -27,7 +27,7 @@ import numpy as np
 
 from . import capsules as caps
 from . import layers as L
-from .atomic import atomic_open
+from .atomic import atomic_open, read_exactly
 from .errors import ConfigError, FormatError, ShapeError
 from .pairing import MERGE_MODES
 from .trainer import DistancePairModel, MergedPairModel
@@ -144,8 +144,8 @@ def read_checkpoint(path):
         version, mlen = struct.unpack("<IQ", head)
         if version != _VERSION:
             raise FormatError(f"{path}: unsupported version {version}")
-        blob = f.read(mlen)
-        if len(blob) < mlen:
+        blob = read_exactly(f, mlen)
+        if blob is None:
             raise FormatError(f"{path}: truncated manifest")
         try:
             manifest = json.loads(blob.decode("utf-8"), object_pairs_hook=_finite_object)
@@ -154,9 +154,8 @@ def read_checkpoint(path):
         arrays = []
         for k, spec in enumerate(_field(manifest, "params", f"{path} manifest", list)):
             name, shape, dtype = _param_spec(spec, f"{path} params[{k}]")
-            count = math.prod(shape)
-            raw = f.read(count * dtype.itemsize)
-            if len(raw) < count * dtype.itemsize:
+            raw = read_exactly(f, math.prod(shape) * dtype.itemsize)
+            if raw is None:
                 raise FormatError(f"{path}: truncated buffer for {name}")
             arrays.append((name, np.frombuffer(raw, dtype=dtype).reshape(shape)))
         if f.read(1):

@@ -7,13 +7,14 @@ fold splitting.  All loaded pixel values are scaled to [0, 1]; images are
 kept channels-last ([H, W] or [H, W, C]) until batches are assembled.
 """
 
+import math
 import os
 import struct
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
-from .atomic import atomic_open
+from .atomic import atomic_open, read_exactly
 from .errors import ConfigError, DataError, FormatError
 from .rng import derive_rng
 
@@ -96,13 +97,10 @@ def read_matrix(path):
         if any(e < 0 for e in extents) or any(e != 1 for e in extents[ndim:]):
             raise FormatError(f"{path}: bad extents {extents}")
         dtype = _MATRIX_MAGIC[magic]
-        count = int(np.prod(shape))
-        payload = f.read(count * dtype.itemsize)
-        if len(payload) < count * dtype.itemsize:
-            raise FormatError(
-                f"{path}: payload holds {len(payload)} bytes, "
-                f"expected {count * dtype.itemsize}"
-            )
+        nbytes = math.prod(shape) * dtype.itemsize
+        payload = read_exactly(f, nbytes)
+        if payload is None:
+            raise FormatError(f"{path}: truncated payload, expected {nbytes} bytes")
         if f.read(1):
             raise FormatError(f"{path}: trailing bytes after payload")
     return np.frombuffer(payload, dtype=dtype).reshape(shape)
@@ -226,9 +224,8 @@ def read_pgm(path):
             raise FormatError(f"{path}: maxval {maxval} out of range")
         # exactly one whitespace byte separates header from raster
         two_byte = maxval > 255
-        count = width * height
-        payload = f.read(count * (2 if two_byte else 1))
-        if len(payload) < count * (2 if two_byte else 1):
+        payload = read_exactly(f, width * height * (2 if two_byte else 1))
+        if payload is None:
             raise FormatError(f"{path}: truncated raster")
     dtype = np.dtype(">u2") if two_byte else np.dtype("u1")
     raw = np.frombuffer(payload, dtype=dtype).reshape(height, width)

@@ -474,6 +474,21 @@ def test_truncated_buffer_rejected(tmp_path):
         ckpt.read_checkpoint(path)
 
 
+def test_shape_claiming_more_than_the_file_holds_exits_two(tmp_path, capsys):
+    path = tmp_path / "model.ckpt"
+    ckpt.save_model(path, small_stack(), extra={"approach": "siamese-cnn", "margin": 1.0})
+
+    def claim_32_tib(manifest):
+        manifest["params"][0]["shape"] = [2**21, 2**21]
+        return manifest
+
+    rewrite_manifest(path, claim_32_tib)
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("a.pgm\tb.pgm\t1\n")
+    assert cli.main(["eval", "--checkpoint", str(path), "--pairs", str(pairs)]) == 2
+    assert "truncated buffer" in capsys.readouterr().err
+
+
 def test_trailing_bytes_rejected(tmp_path):
     stack = small_stack()
     path = tmp_path / "stack.ckpt"

@@ -294,6 +294,16 @@ def test_eval_non_utf8_manifest_exits_two_naming_the_file(tmp_path, capsys):
     assert str(manifest) in err and "UTF-8" in err
 
 
+def test_eval_pgm_claiming_more_than_the_file_holds_exits_two(tmp_path, capsys):
+    images, ckpt = oracle_setup(tmp_path)
+    huge = tmp_path / "huge.pgm"
+    huge.write_bytes(b"P5\n2097152 2097152\n255\n\x00")  # claims 4 TiB
+    manifest = tmp_path / "pairs.tsv"
+    manifest.write_text(f"{images['a0']}\t{huge}\t1\n")
+    assert cli.main(["eval", "--checkpoint", ckpt, "--pairs", str(manifest)]) == 2
+    assert f"error: {huge}: truncated raster" in capsys.readouterr().err
+
+
 def test_eval_checkpoint_without_metadata_exits_two(tmp_path, capsys):
     images = flat_images(tmp_path)
     ckpt = tmp_path / "bare.ckpt"

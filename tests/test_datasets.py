@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,13 @@ class TestMatrixCodec:
         blob = p.read_bytes()
         p.write_bytes(blob[:-3])
         with pytest.raises(FormatError):
+            D.read_matrix(p)
+
+    def test_extents_claiming_more_than_the_file_holds(self, tmp_path):
+        # 2**42 bytes of uint8: checked against the file before any read
+        p = tmp_path / "huge.mat"
+        p.write_bytes(struct.pack("<5i", 0x1E3D4C55, 3, 2**14, 2**14, 2**14) + b"\x00")
+        with pytest.raises(FormatError, match="truncated payload"):
             D.read_matrix(p)
 
     def test_truncated_header(self, tmp_path):
