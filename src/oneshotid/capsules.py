@@ -15,7 +15,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ShapeError, StateError
-from .layers import Activation, Conv2d, Dense, Layer, LayerStack, _hwc, _whole
+from .layers import Activation, Conv2d, Dense, Layer, LayerStack, _count, _hwc, _whole
 from .rng import derive_rng
 
 
@@ -142,9 +142,7 @@ class PrimaryCapsuleLayer(Layer):
     spec_fields = ("n_p",)
 
     def __init__(self, n_p):
-        self.n_p = _whole("capsule length n_p", n_p)
-        if self.n_p < 1:
-            raise ConfigError(f"capsule length must be positive, got {n_p}")
+        self.n_p = _count("capsule length n_p", n_p)
 
     def out_shape(self, in_shape):
         if len(in_shape) != 3:
@@ -180,9 +178,7 @@ class HighLevelCapsuleLayer(Layer):
             rng = np.random.default_rng(0)
         sizes = {"n_in": n_in, "n_p": n_p, "n_out": n_out, "d_out": d_out}
         sizes = {name: _whole(name, size) for name, size in sizes.items()}
-        self.routing_iters = _whole("routing_iters", routing_iters)
-        if self.routing_iters < 1:
-            raise ConfigError(f"routing needs at least 1 iteration, got {routing_iters}")
+        self.routing_iters = _count("routing_iters", routing_iters)
         for name, size in sizes.items():
             if size < 1:
                 raise ConfigError(f"high-level capsules need {name} >= 1, got {size}")

@@ -8,15 +8,17 @@ architecture without touching initializer seeds, so a load is exact.
 A checkpoint holds one layer stack: a merged pair model's classifier or
 a siamese model's tower.  The pair wrapper's settings sit in the
 manifest's ``extra`` object, which only ``save_pair_model`` and
-``pair_model_from_checkpoint`` write and read.
+``pair_model_from_checkpoint`` write and read; a siamese model's
+``threshold`` (its tau, null while none was chosen) is one of them.
 
 A layer's spec is its ``kind`` plus the attributes its ``spec_fields``
 names (see ``layers.Layer``), so loading calls the class registered for
 that kind with them; initializer arguments such as ``rng`` are left out
 because the parameters are loaded afterwards.  A spec whose kind is
 unknown, or whose keys differ from ``spec_fields``, is a FormatError; so
-is a NaN or infinite number anywhere in the manifest, and so are layers
-whose shapes do not chain from the stack's ``input_shape``.
+is a NaN or infinite number anywhere in the manifest, a parameter whose
+dtype is not the first's or not float32 or float64, and layers whose
+shapes do not chain from the stack's ``input_shape``.
 """
 
 import json
@@ -102,6 +104,9 @@ def _param_spec(spec, where):
         dtype = None
     if dtype is None or dtype.kind not in "biuf":
         raise FormatError(f"checkpoint {where} ({name!r}) has unknown dtype {spec['dtype']!r}")
+    if dtype.kind != "f" or dtype.itemsize not in (4, 8):
+        raise FormatError(f"checkpoint {where} ({name!r}) has dtype {dtype}, "
+                          f"not float32 or float64")
     return name, shape, dtype
 
 
@@ -154,6 +159,9 @@ def read_checkpoint(path):
         arrays = []
         for k, spec in enumerate(_field(manifest, "params", f"{path} manifest", list)):
             name, shape, dtype = _param_spec(spec, f"{path} params[{k}]")
+            if arrays and dtype != arrays[0][1].dtype:
+                raise FormatError(f"checkpoint {path} params[{k}] ({name!r}) has dtype {dtype}, "
+                                  f"params[0] {arrays[0][1].dtype}; they must share one")
             raw = read_exactly(f, math.prod(shape) * dtype.itemsize)
             if raw is None:
                 raise FormatError(f"{path}: truncated buffer for {name}")
@@ -213,20 +221,20 @@ def _stack_from_checkpoint(manifest, arrays):
     return stack
 
 
-def save_pair_model(path, model, approach, threshold=None):
+def save_pair_model(path, model, approach):
     """Save a trained pair model under ``approach``.
 
     A MergedPairModel is saved as its stack with ``extra`` =
     {approach, merge_mode}; a DistancePairModel as its tower with
-    {approach, margin, threshold}, where ``threshold`` is the tau chosen
-    for it (None when there is none).
+    {approach, margin, threshold}, where ``threshold`` is the model's tau
+    (None while none was chosen).
     """
     if approach == "merged":
         save_model(path, model.stack,
                    extra={"approach": approach, "merge_mode": model.merge_mode})
     else:
         save_model(path, model.tower, extra={"approach": approach, "margin": model.margin,
-                                             "threshold": threshold})
+                                             "threshold": model.threshold})
 
 
 def _extra_value(extra, key, default, kinds, what):
@@ -246,8 +254,8 @@ def _extra_choice(extra, key, default, choices):
 def pair_model_from_checkpoint(manifest, arrays):
     """Rebuild what save_pair_model wrote from what read_checkpoint returned.
 
-    Returns (model, tau): tau is the merged model's fixed threshold, a
-    siamese model's stored threshold, or None when none was stored.  A
+    Returns the pair model.  A siamese model's ``threshold`` is the stored
+    tau, None when none was stored; a merged model's is its fixed 0.0.  A
     missing merge_mode is "stacked" and a missing margin 1.0.  No
     ``approach`` is a ConfigError; an unknown approach or merge mode, or a
     value of the wrong JSON type, is a FormatError naming the key.
@@ -261,8 +269,7 @@ def pair_model_from_checkpoint(manifest, arrays):
     approach = _extra_choice(extra, "approach", None, APPROACHES)
     if approach == "merged":
         merge_mode = _extra_choice(extra, "merge_mode", "stacked", MERGE_MODES)
-        return (MergedPairModel(_stack_from_checkpoint(manifest, arrays), merge_mode),
-                MergedPairModel.threshold)
+        return MergedPairModel(_stack_from_checkpoint(manifest, arrays), merge_mode)
     margin = _extra_value(extra, "margin", 1.0, (int, float), "a number")
     tau = _extra_value(extra, "threshold", None, (int, float, type(None)), "a number or null")
-    return DistancePairModel(_stack_from_checkpoint(manifest, arrays), margin), tau
+    return DistancePairModel(_stack_from_checkpoint(manifest, arrays), margin, tau)

@@ -40,15 +40,15 @@ def build_parser():
                           help="dataset directory (fallback: ONESHOT_DATA_DIR)")
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument("--seed", type=int, default=None, help="override the recipe seed")
+    recipe_run = argparse.ArgumentParser(add_help=False, parents=[data_dir, seed])
+    recipe_run.add_argument("--recipe", required=True)
+    recipe_run.add_argument("--out", required=True)
 
-    sp = sub.add_parser("train", parents=[data_dir, seed], help="run a recipe end to end")
-    sp.add_argument("--recipe", required=True)
-    sp.add_argument("--out", required=True)
-
-    sp = sub.add_parser("crossval", parents=[data_dir, seed],
+    sp = sub.add_parser("train", parents=[recipe_run], help="run a recipe end to end")
+    sp.set_defaults(run=cmd_train)
+    sp = sub.add_parser("crossval", parents=[recipe_run],
                         help="run a recipe under k-fold cross-validation")
-    sp.add_argument("--recipe", required=True)
-    sp.add_argument("--out", required=True)
+    sp.set_defaults(run=cmd_train)
 
     sp = sub.add_parser("eval", parents=[data_dir],
                         help="score a pair manifest with a checkpoint")
@@ -56,17 +56,18 @@ def build_parser():
     sp.add_argument("--pairs", required=True, help="TSV pair manifest")
     sp.add_argument("--identify", action="store_true",
                     help="rank candidates per query instead of scoring pairs")
+    sp.set_defaults(run=cmd_eval)
 
     sp = sub.add_parser("augment", parents=[seed], help="write augmented copies of a PGM tree")
     sp.add_argument("--in", dest="in_dir", required=True)
     sp.add_argument("--recipe", required=True,
                     help="INI file with an [augment] section")
     sp.add_argument("--out", required=True)
+    sp.set_defaults(run=cmd_augment)
 
-    sp = sub.add_parser("compare-merging", parents=[data_dir, seed],
+    sp = sub.add_parser("compare-merging", parents=[recipe_run],
                         help="train the merged CNN per merge mode and tabulate")
-    sp.add_argument("--recipe", required=True)
-    sp.add_argument("--out", required=True)
+    sp.set_defaults(run=cmd_compare_merging)
 
     sp = sub.add_parser("gen-synthetic", parents=[seed],
                         help="generate a synthetic anode PGM tree")
@@ -74,23 +75,23 @@ def build_parser():
     sp.add_argument("--classes", type=int, default=12)
     sp.add_argument("--views", type=int, default=6)
     sp.add_argument("--size", type=int, default=64)
+    sp.set_defaults(run=cmd_gen_synthetic)
 
     return parser
 
 
-def _load_recipe(args, force_kfold=False):
+def _load_recipe(args):
     recipe = read_recipe(args.recipe)
     if args.seed is not None:
         recipe = recipe.with_seed(args.seed)
-    if force_kfold and recipe.protocol != "kfold":
-        recipe = dataclasses.replace(recipe, protocol="kfold")
     return recipe
 
 
-def cmd_train(args, force_kfold=False):
-    recipe = _load_recipe(args, force_kfold=force_kfold)
-    command = "crossval" if force_kfold else "train"
-    result = run_experiment(recipe, args.data_dir, args.out, command=command)
+def cmd_train(args):
+    recipe = _load_recipe(args)
+    if args.command == "crossval":
+        recipe = dataclasses.replace(recipe, protocol="kfold")
+    result = run_experiment(recipe, args.data_dir, args.out, command=args.command)
     summary = result["summary"]
     if recipe.protocol == "kfold":
         print(f"folds={len(result['reports'])} "
@@ -152,7 +153,7 @@ def _same_probability(margin):
 
 
 def cmd_eval(args):
-    model, tau = pair_model_from_checkpoint(*read_checkpoint(args.checkpoint))
+    model = pair_model_from_checkpoint(*read_checkpoint(args.checkpoint))
     samples = _load_manifest_pairs(args.pairs, args.data_dir)
     _check_images_fit(model, samples)
     _, distances, labels = score_pairs(model, [s for _, _, s in samples])
@@ -165,9 +166,9 @@ def cmd_eval(args):
     if args.identify:
         return _identify(samples, scores)
 
-    if tau is None:
-        tau, _ = choose_threshold(distances, labels)
-    preds = (distances < tau).astype(int)
+    if model.threshold is None:
+        model.threshold, _ = choose_threshold(distances, labels)
+    preds = (distances < model.threshold).astype(int)
     for (pa, pb, _), score, pred, y in zip(samples, scores, preds, labels):
         print(f"{pa}\t{pb}\t{score:.6g}\t{pred}\t{y}")
     acc = float((preds == labels).mean())
@@ -266,17 +267,7 @@ def cmd_gen_synthetic(args):
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "train":
-            return cmd_train(args)
-        if args.command == "crossval":
-            return cmd_train(args, force_kfold=True)
-        if args.command == "eval":
-            return cmd_eval(args)
-        if args.command == "augment":
-            return cmd_augment(args)
-        if args.command == "compare-merging":
-            return cmd_compare_merging(args)
-        return cmd_gen_synthetic(args)
+        return args.run(args)
     except (ConfigError, DataError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -43,6 +43,14 @@ def _whole(name, v):
     raise ConfigError(f"{name} must be a whole number, got {v!r}")
 
 
+def _count(name, v):
+    """``v`` as an int of at least 1; a ConfigError naming ``name`` otherwise."""
+    v = _whole(name, v)
+    if v < 1:
+        raise ConfigError(f"{name} must be at least 1, got {v}")
+    return v
+
+
 def _pair(name, v):
     if isinstance(v, (tuple, list)):
         if len(v) != 2:
@@ -199,8 +207,8 @@ class Conv2d(Layer):
         kh, kw = _pair("conv kernel", kernel)
         if rng is None:
             rng = np.random.default_rng(0)
-        self.in_channels = _whole("conv in_channels", in_channels)
-        self.out_channels = _whole("conv out_channels", out_channels)
+        self.in_channels = _count("conv in_channels", in_channels)
+        self.out_channels = _count("conv out_channels", out_channels)
         self.kernel = (kh, kw)
         self.stride = _pair("conv stride", stride)
         self.padding = _whole("conv padding", padding)
@@ -255,8 +263,8 @@ class Dense(Layer):
     def __init__(self, in_features, out_features, rng=None):
         if rng is None:
             rng = np.random.default_rng(0)
-        self.in_features = _whole("dense in_features", in_features)
-        self.out_features = _whole("dense out_features", out_features)
+        self.in_features = _count("dense in_features", in_features)
+        self.out_features = _count("dense out_features", out_features)
         self.weights = T.Tensor(
             _he_uniform(rng, in_features, (in_features, out_features)), requires_grad=True
         )

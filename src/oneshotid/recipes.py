@@ -9,6 +9,7 @@ whole reproducibility story.
 import configparser
 import dataclasses
 import hashlib
+import inspect
 import os
 from dataclasses import dataclass, field
 
@@ -108,11 +109,6 @@ def _scalar_keys(cls, exclude):
 _EXPERIMENT_KEYS = _scalar_keys(ExperimentRecipe, exclude=("augment_multiplier",))
 _TRAIN_KEYS = _scalar_keys(TrainConfig, exclude=("seed",))
 
-_AUGMENT_RANGE_KEYS = ("rotation", "brightness", "burn_count", "burn_radius",
-                       "burn_intensity")
-_AUGMENT_SCALAR_KEYS = ("blur_sigma", "contour_amplitude", "contour_sigma",
-                        "background")
-
 
 def _number_pair(raw):
     parts = raw.split()
@@ -121,12 +117,12 @@ def _number_pair(raw):
     return float(parts[0]), float(parts[1])
 
 
-# A run derives its augment seed from the recipe seed, so a recipe's
-# [augment] section takes no seed; a standalone augment config does.
-_RECIPE_AUGMENT_KEYS = {"multiplier": int,
-                        **dict.fromkeys(_AUGMENT_RANGE_KEYS, _number_pair),
-                        **dict.fromkeys(_AUGMENT_SCALAR_KEYS, float)}
-_AUGMENT_KEYS = {**_RECIPE_AUGMENT_KEYS, "seed": int}
+# [augment] keys: ``multiplier`` and AugmentConfig's parameters, a tuple default
+# marking a range of two numbers.  A run derives its augment seed from the
+# recipe seed, so a recipe's section takes no seed; a standalone config does.
+_AUGMENT_KEYS = {name: _number_pair if isinstance(p.default, tuple) else type(p.default)
+                 for name, p in inspect.signature(AugmentConfig).parameters.items()}
+_RECIPE_AUGMENT_KEYS = {k: typ for k, typ in _AUGMENT_KEYS.items() if k != "seed"}
 
 
 def _parse_section(section, items, key_types):
@@ -158,7 +154,7 @@ def _read_ini(text, name, required):
 
 
 def _parse_augment(items, key_types, default_multiplier):
-    kwargs = _parse_section("augment", items, key_types)
+    kwargs = _parse_section("augment", items, {**key_types, "multiplier": int})
     multiplier = kwargs.pop("multiplier", default_multiplier)
     if multiplier < 0:
         raise ConfigError(f"[augment] multiplier must be >= 0, got {multiplier}")
@@ -218,7 +214,7 @@ def recipe_items(recipe):
             items += [(f"train.{k}", v) for k, v in sorted(value.snapshot().items())]
         elif f.name == "augment":
             if value is not None:
-                for k in (*_AUGMENT_RANGE_KEYS, *_AUGMENT_SCALAR_KEYS):
+                for k in _RECIPE_AUGMENT_KEYS:
                     items.append((f"augment.{k}", getattr(value, k)))
         else:
             items.append((f.name, value))
@@ -303,9 +299,10 @@ def augment_dataset(dataset, config, multiplier, seed):
 # running
 # ---------------------------------------------------------------------------
 
-def _run_single(recipe, train_ds, eval_ds, config, out_dir=None, tag=""):
-    """Train one model and return its RunReport; test accuracy comes from
-    eval_ds pairs with the threshold (if any) chosen on training pairs."""
+def _run_single(recipe, train_ds, eval_ds, config, out_dir, tag=""):
+    """Train one model, write its artifacts under ``out_dir`` (in ``tag``
+    when given) and return its RunReport; test accuracy comes from eval_ds
+    pairs, a siamese model's threshold from training pairs."""
     if recipe.augment is not None and recipe.augment_multiplier >= 1:
         train_ds = augment_dataset(train_ds, recipe.augment,
                                    recipe.augment_multiplier,
@@ -316,17 +313,15 @@ def _run_single(recipe, train_ds, eval_ds, config, out_dir=None, tag=""):
                              rng_seed=derive_seed(config.seed, "pairs", "val"))
     model = build_model(recipe, train_ds, config.seed)
     report = train(model, train_pairs, recipe.loss_kind, config, val_pairs=val_pairs)
-    tau = model.threshold
-    if tau is None:
+    if model.threshold is None:
         _, d, y = score_pairs(model, train_pairs)
-        tau, _ = choose_threshold(d, y)
-    report.test_accuracy = evaluate_pairs(model, val_pairs, threshold_rule=tau)
-    if out_dir is not None:
-        run_dir = os.path.join(out_dir, tag) if tag else out_dir
-        os.makedirs(run_dir, exist_ok=True)
-        report.write_csv(os.path.join(run_dir, "epochs.csv"))
-        report.write_summary(os.path.join(run_dir, "summary.txt"))
-        save_pair_model(os.path.join(run_dir, "model.ckpt"), model, recipe.approach, tau)
+        model.threshold, _ = choose_threshold(d, y)
+    report.test_accuracy = evaluate_pairs(model, val_pairs)
+    run_dir = os.path.join(out_dir, tag) if tag else out_dir
+    os.makedirs(run_dir, exist_ok=True)
+    report.write_csv(os.path.join(run_dir, "epochs.csv"))
+    report.write_summary(os.path.join(run_dir, "summary.txt"))
+    save_pair_model(os.path.join(run_dir, "model.ckpt"), model, recipe.approach)
     return report
 
 

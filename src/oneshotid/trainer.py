@@ -13,10 +13,10 @@ with ``stats = {"distances", "labels"}``, and a pair is called "same" iff
 its distance is below a threshold tau.  MergedPairModel's distance is the
 logit margin z_diff - z_same with the fixed ``threshold = 0.0``, which is
 the argmax decision.  DistancePairModel's distance is the euclidean
-distance of the two embeddings; its ``threshold`` is None and tau is
-chosen by ``choose_threshold``.  ``score_pairs`` is the one batched
-scoring pass, used by validation, ``evaluate_pairs``, the recipes and the
-``eval`` command alike.
+distance of the two embeddings; its ``threshold`` is tau, None until it
+is chosen by ``choose_threshold`` or loaded.  ``score_pairs`` is the one
+batched scoring pass, used by validation, ``evaluate_pairs``, the recipes
+and the ``eval`` command alike.
 
 Without a tape, DistancePairModel embeds each distinct image of a scoring
 chunk once and takes both sides of every pair from that table; no tower
@@ -214,18 +214,19 @@ class DistancePairModel:
     """One shared tower embeds both views; contrastive loss over distances.
 
     A tower that emits capsule vectors ([B, J, d]) is flattened to
-    [B, J*d] so the euclidean pair distance is well defined.
+    [B, J*d] so the euclidean pair distance is well defined.  ``threshold``
+    is the verification tau, None until it is chosen or loaded.
     """
 
     kind = "distance"
     loss_kind = "contrastive"
-    threshold = None
 
-    def __init__(self, tower, margin=1.0):
+    def __init__(self, tower, margin=1.0, threshold=None):
         if margin <= 0:
             raise ConfigError(f"margin must be positive, got {margin}")
         self.tower = tower
         self.margin = float(margin)
+        self.threshold = threshold
 
     def params(self):
         return self.tower.params()
@@ -321,7 +322,7 @@ def choose_threshold(distances, labels):
     return float(cand[i]), float(correct[i] / d.size)
 
 
-def _pair_accuracy(distances, labels, tau=None):
+def _pair_accuracy(distances, labels, tau):
     """Share of pairs called right by 'same iff D < tau'; tau None sweeps
     for the best tau with ``choose_threshold``."""
     if tau is None:
@@ -350,19 +351,16 @@ def score_pairs(model, pairs):
 def evaluate_pairs(model, pairs, threshold_rule=None):
     """Fraction of pairs classified correctly by 'same iff D < tau'.
 
-    A model with a fixed ``threshold`` (merged) uses it and ignores
-    ``threshold_rule``.  Otherwise tau comes from the rule: a number is used
-    as-is; a list of PairSamples is swept for the best tau; None sweeps the
-    evaluation pairs themselves.
+    tau is the model's ``threshold`` when it is set (always, for a merged
+    model), and ``threshold_rule`` is then ignored.  Otherwise tau comes
+    from the rule: a list of PairSamples is swept for the best tau; None
+    sweeps the evaluation pairs themselves.
     """
     _, d, y = score_pairs(model, pairs)
     tau = model.threshold
     if tau is None and threshold_rule is not None:
-        if isinstance(threshold_rule, (int, float)):
-            tau = float(threshold_rule)
-        else:
-            _, vd, vy = score_pairs(model, threshold_rule)
-            tau, _ = choose_threshold(vd, vy)
+        _, vd, vy = score_pairs(model, threshold_rule)
+        tau, _ = choose_threshold(vd, vy)
     return _pair_accuracy(d, y, tau)
 
 
@@ -414,7 +412,8 @@ def train(model, pairs, loss_kind, config, val_pairs=None):
     Shuffling is derived from config.seed per epoch, so a fixed config
     reproduces the run exactly.  When ``val_pairs`` is None the validation
     columns are computed on the training pairs; early stopping then
-    monitors those.
+    monitors those.  The accuracy columns use the model's ``threshold``,
+    or each column's best tau while it is None.
     """
     pairs = list(pairs)
     if not pairs:

@@ -10,9 +10,10 @@ from oneshotid import cli
 from oneshotid import layers as L
 from oneshotid.capsules import build_capsnet
 from oneshotid.errors import FormatError
+from oneshotid.pairing import PairSample
 from oneshotid.rng import derive_rng
 from oneshotid.tensor import Tensor
-from oneshotid.trainer import DistancePairModel, MergedPairModel
+from oneshotid.trainer import DistancePairModel, MergedPairModel, evaluate_pairs
 
 
 def small_stack(seed=3):
@@ -87,22 +88,39 @@ def test_save_pair_model_bytes_match_golden_digest(tmp_path, case):
     build, approach, threshold, digest = GOLDEN_PAIRS[case]
     path = tmp_path / "golden.ckpt"
     model = build()
-    ckpt.save_pair_model(path, model, approach, threshold)
+    model.threshold = threshold
+    ckpt.save_pair_model(path, model, approach)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
-    loaded, tau = ckpt.pair_model_from_checkpoint(*ckpt.read_checkpoint(path))
-    assert type(loaded) is type(model) and tau == threshold
-    ckpt.save_pair_model(tmp_path / "again.ckpt", loaded, approach, tau)
+    loaded = ckpt.pair_model_from_checkpoint(*ckpt.read_checkpoint(path))
+    assert type(loaded) is type(model) and loaded.threshold == threshold
+    ckpt.save_pair_model(tmp_path / "again.ckpt", loaded, approach)
     assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
 
 
 def test_pair_model_defaults_for_missing_extra_keys(tmp_path):
     path = tmp_path / "model.ckpt"
     ckpt.save_model(path, small_stack(), extra={"approach": "merged"})
-    merged, tau = ckpt.pair_model_from_checkpoint(*ckpt.read_checkpoint(path))
-    assert (merged.merge_mode, tau) == ("stacked", 0.0)
+    merged = ckpt.pair_model_from_checkpoint(*ckpt.read_checkpoint(path))
+    assert (merged.merge_mode, merged.threshold) == ("stacked", 0.0)
     ckpt.save_model(path, small_stack(), extra={"approach": "siamese-cnn"})
-    siamese, tau = ckpt.pair_model_from_checkpoint(*ckpt.read_checkpoint(path))
-    assert (siamese.margin, tau) == (1.0, None)
+    siamese = ckpt.pair_model_from_checkpoint(*ckpt.read_checkpoint(path))
+    assert (siamese.margin, siamese.threshold) == (1.0, None)
+
+
+def test_evaluate_pairs_uses_the_threshold_a_checkpoint_stores(tmp_path):
+    # Identity embeddings put the same pair at distance 0 and the different
+    # pair at 2: a sweep over them scores 1.0, the stored tau 100 only 0.5.
+    tower = L.LayerStack([L.Flatten(), L.Dense(4, 4)], (1, 2, 2))
+    tower.layers[1].weights.data = np.eye(4)
+    path = tmp_path / "model.ckpt"
+    ckpt.save_pair_model(path, DistancePairModel(tower, threshold=100.0), "siamese-cnn")
+    loaded = ckpt.pair_model_from_checkpoint(*ckpt.read_checkpoint(path))
+    zero, one = np.zeros((2, 2)), np.ones((2, 2))
+    pairs = [PairSample(zero, zero, 1), PairSample(zero, one, 0)]
+    assert loaded.threshold == 100.0
+    assert evaluate_pairs(loaded, pairs) == 0.5
+    loaded.threshold = None
+    assert evaluate_pairs(loaded, pairs) == 1.0
 
 
 BAD_SPECS = {
@@ -180,6 +198,10 @@ BAD_PARAMS = {
     "negative-size": (lambda p: p.update(shape=[-1, 2]), "not a list of sizes"),
     "unknown-dtype": (lambda p: p.update(dtype="<q9"), "unknown dtype"),
     "object-dtype": (lambda p: p.update(dtype="O"), "unknown dtype"),
+    # Same byte count as <f8, so only the dtype check can catch it.
+    "int-dtype": (lambda p: p.update(dtype="<i8"), "dtype int64, not float32 or float64"),
+    "dtype-not-shared": (lambda p: p.update(dtype="<f4", shape=[8]),
+                         "dtype float32, params[0] float64"),
     "name-not-string": (lambda p: p.update(name=3), "not a string"),
 }
 
@@ -364,7 +386,7 @@ def test_empty_high_caps_spec_is_format_error_and_eval_exits_two(tmp_path, capsy
     assert "HighLevelCapsuleLayer spec" in capsys.readouterr().err
 
 
-# Layer 0 of a siamese tower is a conv, layer 2 a max pool.
+# Layer 0 of a siamese tower is a conv, layer 2 a max pool, the last a dense.
 DEGENERATE_WINDOWS = {
     "conv-stride-zero": (0, {"stride": [0, 0]}, "conv stride must be at least 1, got 0x0"),
     "conv-kernel-zero": (0, {"kernel": [0, 0]}, "conv kernel must be at least 1, got 0x0"),
@@ -372,6 +394,14 @@ DEGENERATE_WINDOWS = {
     "conv-padding-negative": (0, {"padding": -1}, "conv padding must be at least 0, got -1"),
     "pool-window-zero": (2, {"window": [0, 2]}, "pool window must be at least 1, got 0x2"),
     "pool-stride-zero": (2, {"stride": [2, 0]}, "pool stride must be at least 1, got 2x0"),
+    "conv-in-channels-zero": (0, {"in_channels": 0},
+                              "conv in_channels must be at least 1, got 0"),
+    "conv-out-channels-zero": (0, {"out_channels": 0},
+                               "conv out_channels must be at least 1, got 0"),
+    "dense-in-features-zero": (-1, {"in_features": 0},
+                               "dense in_features must be at least 1, got 0"),
+    "dense-out-features-zero": (-1, {"out_features": 0},
+                                "dense out_features must be at least 1, got 0"),
 }
 
 

@@ -17,7 +17,9 @@ default counts as passed when some call to its function's name (its
 class's name, for ``__init__``) in that same code passes it by keyword,
 by position or through ``*``/``**``; a constructor parameter named in
 ``spec_fields`` counts as passed, because checkpoints load those with
-``**``.  An option that only unit tests set fails the scan.
+``**``.  An option that only unit tests set fails the scan.  So does a
+default of a private function or method that every call in the package
+passes: that default is dead.
 """
 
 import ast
@@ -153,24 +155,28 @@ def _spec_fields(cls):
     return set()
 
 
-def _defaulted_parameters(tree):
+def _defaulted_parameters(tree, private=False):
     """(line, label, call name, position, parameter) of each parameter with
     a default of a public top-level function, a public method of a
-    top-level class or a public class's ``__init__``.  ``position`` is the
-    parameter's index among a call's positional arguments, or None when it
-    is keyword-only; a constructor parameter named in its class's
-    ``spec_fields`` is left out."""
+    top-level class or a public class's ``__init__`` (with ``private``, of
+    the private ones instead).  ``position`` is the parameter's index among
+    a call's positional arguments, or None when it is keyword-only; a
+    constructor parameter named in its class's ``spec_fields`` is left
+    out."""
+    def chosen(name):
+        return name.startswith("_") == private and not name.startswith("__")
+
     funcs = []
     for node in tree.body:
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+        if isinstance(node, ast.FunctionDef) and chosen(node.name):
             funcs.append((node, node.name, node.name, 0, set()))
         elif isinstance(node, ast.ClassDef):
             for item in node.body:
                 if not isinstance(item, ast.FunctionDef):
                     continue
-                if item.name == "__init__" and not node.name.startswith("_"):
+                if item.name == "__init__" and chosen(node.name):
                     funcs.append((item, node.name, node.name, 1, _spec_fields(node)))
-                elif not item.name.startswith("_"):
+                elif chosen(item.name):
                     funcs.append((item, f"{node.name}.{item.name}", item.name, 1, set()))
     for func, label, name, skip, exempt in funcs:
         positional = [*func.args.posonlyargs, *func.args.args]
@@ -237,3 +243,58 @@ def test_scan_finds_a_default_only_unit_tests_pass():
     assert unpassed_defaults(sources, ["a.C().m(v=4)\n"]) == [
         ("a.py", 1, "f", "k"), ("a.py", 1, "f", "z"), ("a.py", 3, "g", "x"),
         ("a.py", 7, "C", "t"), ("a.py", 9, "C.m", "u")]
+
+
+def _non_call_references(tree):
+    """Names ``tree`` loads, as a bare name or an attribute, other than as
+    the function of a call."""
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    for node in ast.walk(tree):
+        if id(node) in called:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def dead_private_defaults(sources):
+    """(module, line, label, parameter) of each defaulted parameter of a
+    private function or method in ``sources`` ({module: source text}) that
+    every call in ``sources`` passes, by keyword or by position.  A
+    function that is never called, is called with ``*`` or ``**``, or is
+    referenced other than by a call (so it may be called elsewhere) is
+    left out."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    calls, values = {}, set()
+    for tree in trees.values():
+        for name, n_positional, keywords in _calls(tree):
+            calls.setdefault(name, []).append((n_positional, keywords))
+        values.update(_non_call_references(tree))
+
+    def always_passed(name, position, param):
+        return name not in values and bool(calls.get(name)) and all(
+            keywords is not None and (param in keywords
+                                      or (position is not None and n_positional > position))
+            for n_positional, keywords in calls[name])
+
+    return sorted((module, line, label, param) for module, tree in trees.items()
+                  for line, label, name, position, param in _defaulted_parameters(tree, True)
+                  if always_passed(name, position, param))
+
+
+def test_private_defaults_are_not_always_passed():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    assert dead_private_defaults(sources) == []
+
+
+def test_scan_finds_a_default_every_call_passes():
+    sources = {"a.py": ("def _f(x, y=1, z=2):\n    pass\n"
+                        "def _g(x=0):\n    pass\n"
+                        "def _h(x=0):\n    pass\n"
+                        "def _k(x=0):\n    pass\n"
+                        "class C:\n    def _m(self, u=1, *, v=2):\n        pass\n"),
+               "b.py": ("from .a import _f, _g, _h\n_f(0, 1)\n_f(0, y=2, z=3)\n"
+                        "_g(1)\nhook = _g\n_h(*[1])\nC()._m(4, v=5)\n")}
+    assert dead_private_defaults(sources) == [
+        ("a.py", 1, "_f", "y"), ("a.py", 10, "C._m", "u"), ("a.py", 10, "C._m", "v")]

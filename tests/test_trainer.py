@@ -407,12 +407,12 @@ def identity_tower(size):
 
 def test_oracle_embeddings_perfect_at_fixed_threshold():
     size = 4
-    model = tr.DistancePairModel(identity_tower(size))
+    model = tr.DistancePairModel(identity_tower(size), threshold=5.0)
     zero = np.zeros((size, size))
     far = np.full((size, size), 10.0 / size)
     pairs = [PairSample(zero, zero.copy(), 1) for _ in range(5)]
     pairs += [PairSample(zero, far, 0) for _ in range(5)]
-    assert tr.evaluate_pairs(model, pairs, threshold_rule=5.0) == 1.0
+    assert tr.evaluate_pairs(model, pairs) == 1.0
 
 
 def test_evaluate_invariant_to_pair_order():
