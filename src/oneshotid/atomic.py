@@ -27,7 +27,7 @@ def read_exactly(f, nbytes):
 
 
 @contextmanager
-def atomic_open(path, mode="w", **kwargs):
+def atomic_open(path, mode, **kwargs):
     """``open(path, mode, **kwargs)`` for writing, made atomic.
 
     The file object writes to ``<path>.<random>.tmp`` in the same

@@ -32,7 +32,7 @@ def _squash_grad(g, s, n, axis):
     return g * (n / q) + s * ((g * s).sum(axis=axis, keepdims=True) * df / (n + T._EPS))
 
 
-def squash(g, axis=-1):
+def squash(g, axis):
     """Shrink vector g along ``axis`` to length ||g||^2/(1+||g||^2) < 1.
 
     Equals g * ||g|| / (1 + ||g||^2), which is 0 at g = 0.  One tape op
@@ -47,11 +47,10 @@ class RoutingState:
     """Diagnostics from one routing run.
 
     ``coupling_history`` holds a [..., N_p, J] array of c_ij per iteration
-    so tests can watch agreement evolve; ``couplings`` is the last of them.
+    so tests can watch agreement evolve.
     """
 
-    def __init__(self, couplings, coupling_history):
-        self.couplings = couplings
+    def __init__(self, coupling_history):
         self.coupling_history = coupling_history
 
 
@@ -113,7 +112,7 @@ def dynamic_route(u_hat, iterations=3):
         return (gu.transpose(0, 2, 1, 3).reshape(u_hat.shape),)
 
     out = T.from_op("dynamic_route", v.reshape(lead + (n_j, d)), (u_hat,), bwd)
-    return out, RoutingState(history[-1], history)
+    return out, RoutingState(history)
 
 
 def capsule_predict(u, w):
@@ -209,15 +208,16 @@ def capsule_scores(v):
     return T.l2norm(v, axis=-1)
 
 
-def build_capsnet(input_shape, n_classes, d_out=16, routing_iters=3,
+def build_capsnet(input_shape, n_classes, d_out, routing_iters=3,
                   conv_channels=(256, 256), kernels=(9, 9), strides=(1, 2),
-                  n_p=8, seed=0):
+                  n_p=8, *, seed):
     """Capsule classifier: two leaky-ReLU convs (slope 0.01), primary
-    capsules, routed high-level capsules.
+    capsules, routed high-level capsules, initialised from ``seed``.
 
     ``input_shape`` is (H, W, C).  Output is [n_classes, d_out] capsule
-    vectors; class score for j is the norm of capsule j.  The flattened
-    output doubles as an embedding for pairwise comparison.
+    vectors (a recipe's ``caps_d_out``, 16 by default); class score for j
+    is the norm of capsule j.  The flattened output doubles as an
+    embedding for pairwise comparison.
     """
     h, w, c = _hwc(input_shape)
     c1, c2 = conv_channels
@@ -241,11 +241,12 @@ def build_capsnet(input_shape, n_classes, d_out=16, routing_iters=3,
 class Decoder:
     """Dense stack reconstructing an image from one masked capsule vector.
 
-    Hidden layers use leaky ReLU with the default slope 0.01, the output a
-    sigmoid.
+    ``sizes`` are the hidden layer widths, (512, 1024) in the CapsNet
+    decoder; hidden layers use leaky ReLU with slope 0.01, the output a
+    sigmoid.  Weights are initialised from ``seed``.
     """
 
-    def __init__(self, n_classes, d_out, image_shape, sizes=(512, 1024), seed=0):
+    def __init__(self, n_classes, d_out, image_shape, sizes, seed):
         self.n_classes = int(n_classes)
         self.d_out = int(d_out)
         self.image_shape = tuple(int(v) for v in image_shape)
@@ -294,7 +295,7 @@ class CapsNet:
     run until it is at or below ``recon_threshold``.
     """
 
-    def __init__(self, encoder, decoder, recon_threshold=0.05):
+    def __init__(self, encoder, decoder, recon_threshold):
         self.encoder = encoder
         self.decoder = decoder
         self.recon_threshold = float(recon_threshold)
@@ -311,7 +312,7 @@ class CapsNet:
         return self.decoder.decode(v, mask)
 
 
-def generate_images(model, seed_images, count, scale=0.1, seed=0):
+def generate_images(model, seed_images, count, scale, seed):
     """Decode perturbed capsule codes of seed images into new images.
 
     Each output encodes one seed image (cycled), adds seeded uniform noise

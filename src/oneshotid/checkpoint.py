@@ -186,17 +186,15 @@ def _load_into(stack, named_arrays):
         raise FormatError(f"checkpoint missing parameters: {sorted(expected)}")
 
 
-def save_model(path, stack, extra=None):
+def save_model(path, stack, extra):
     """Serialize a LayerStack with its architecture.
 
-    ``extra`` is an optional JSON-compatible dict stored verbatim in the
-    manifest; ``save_pair_model`` fills it with a pair model's settings.
+    ``extra`` is a JSON-compatible dict stored verbatim in the manifest;
+    ``save_pair_model`` fills it with a pair model's settings.
     """
     if not isinstance(stack, L.LayerStack):
         raise FormatError(f"cannot checkpoint a {type(stack).__name__}")
-    manifest = {"model": "stack", "stack": _stack_manifest(stack)}
-    if extra is not None:
-        manifest["extra"] = dict(extra)
+    manifest = {"model": "stack", "stack": _stack_manifest(stack), "extra": dict(extra)}
     write_checkpoint(path, manifest, [(n, p.data) for n, p in stack.named_params()])
 
 

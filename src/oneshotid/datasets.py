@@ -28,7 +28,7 @@ class Dataset:
     instance) live in ``metadata``.
     """
 
-    def __init__(self, images, class_ids, source="", metadata=None):
+    def __init__(self, images, class_ids, source, metadata=None):
         self.images = images
         self.class_ids = np.asarray(class_ids)
         if len(self.images) != len(self.class_ids):
@@ -132,13 +132,13 @@ def _find_matrix_file(dir_, split, kind):
     return os.path.join(dir_, hits[0])
 
 
-def load_smallnorb_split(dir_, split, expected_examples=24300):
+def load_smallnorb_split(dir_, split, expected_examples):
     """Load one split ("training" or "testing") of the stereo toy dataset.
 
     Each example is a [96, 96, 2] camera pair in [0, 1] (float32: a full
     split is large).  Class ids label each physical toy (category and
-    instance combined).  ``expected_examples`` is checked; pass None to
-    accept reduced fixture files.
+    instance combined).  ``expected_examples`` (24300 for a full split) is
+    checked; pass None to accept reduced fixture files.
     """
     dat = read_matrix(_find_matrix_file(dir_, split, "dat"))
     cat = read_matrix(_find_matrix_file(dir_, split, "cat"))
@@ -290,14 +290,14 @@ _BRIGHTNESS = (0.7, 1.0)
 
 
 class SyntheticAnodeSpec:
-    """Image size and seed of procedural anode images.
+    """Image size (H, W) and seed of procedural anode images.
 
     Each class gets a fixed random set of surface stubs (its identity);
     each view re-renders the same stubs under a different brightness and
     texture draw, imitating the appearance change of a firing pass.
     """
 
-    def __init__(self, size=(64, 64), seed=0):
+    def __init__(self, size, seed):
         h, w = (int(v) for v in size)
         if h < 8 or w < 8:
             raise ConfigError(f"image size too small: {size}")
@@ -346,8 +346,9 @@ def generate_synthetic_anodes(spec, n_classes, views_per_class):
 # splitting and resizing
 # ---------------------------------------------------------------------------
 
-def kfold_split(dataset, k, fold_index, seed=0):
-    """Class-stratified k-fold partition; returns (train, validation).
+def kfold_split(dataset, k, fold_index, seed):
+    """Class-stratified k-fold partition, shuffled within each class from
+    ``seed``; returns (train, validation).
 
     Validation folds across fold_index values are disjoint and cover the
     dataset.  Requires every class to hold at least k examples.
@@ -377,18 +378,12 @@ def downscale(images, factor):
     f = int(factor)
     if f < 1:
         raise ConfigError(f"factor must be >= 1, got {factor}")
-    if f == 1:
-        return images
     if images.ndim not in (3, 4):
         raise ConfigError(f"expected [N,H,W] or [N,H,W,C], got shape {images.shape}")
     n, h, w = images.shape[:3]
     if h % f or w % f:
         raise ConfigError(f"dimensions {h}x{w} not divisible by {f}")
-    if images.ndim == 3:
-        out = images.reshape(n, h // f, f, w // f, f).mean(axis=(2, 4))
-    else:
-        c = images.shape[3]
-        out = images.reshape(n, h // f, f, w // f, f, c).mean(axis=(2, 4))
+    out = images.reshape(n, h // f, f, w // f, f, *images.shape[3:]).mean(axis=(2, 4))
     return out.astype(images.dtype, copy=False)
 
 

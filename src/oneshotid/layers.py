@@ -387,26 +387,28 @@ def _conv_tower(input_shape, channels, pool_after, dense_sizes, seed, scope):
     return LayerStack(layers, (c, h, w))
 
 
-def build_merged_cnn(input_shape, seed=0):
+def build_merged_cnn(input_shape, seed):
     """Classifier tower for merged image pairs.
 
     Four 3x3 stride-1 ReLU convolutions with 32, 32, 64, 64 feature maps,
     max pooling after the second and fourth, then dense
     layers of 128 and 2; the final two units are same/different logits.
-    ``input_shape`` is (H, W, C) of the merged image.
+    ``input_shape`` is (H, W, C) of the merged image; weights are
+    initialised from ``seed``.
     """
     return _conv_tower(input_shape, (32, 32, 64, 64), (2, 4), (128, 2),
                        seed, "merged_cnn")
 
 
-def build_siamese_tower(input_shape, seed=0):
+def build_siamese_tower(input_shape, seed):
     """Embedding tower shared by both branches of the distance network.
 
     Three 3x3 stride-1 ReLU convolutions with 4, 8, 8 feature maps, max
     pooling after the first and second, then dense layers of 500, 500 and
     5; the 5-unit output is the embedding and has no activation so the
     distance lives in an unconstrained space.  ``input_shape`` is
-    (H, W, C) with a single channel in normal use.
+    (H, W, C) with a single channel in normal use; weights are initialised
+    from ``seed``.
     """
     return _conv_tower(input_shape, (4, 8, 8), (1, 2), (500, 500, 5),
                        seed, "siamese_tower")

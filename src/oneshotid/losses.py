@@ -80,28 +80,27 @@ _CENTER_RATE = 0.5
 
 
 class CenterState:
-    """Per-class feature centroids plus the center-loss balance weight.
+    """Per-class feature centroids plus the center-loss balance weight
+    ``lam``.
 
-    Centroids are ordinary arrays updated by an exponential moving
-    average (rate ``_CENTER_RATE``) after each loss evaluation; gradients
-    never flow into them.
+    ``centroids`` is the [n_classes, feature_dim] starting array, copied
+    as float64.  Centroids are ordinary arrays updated by an exponential
+    moving average (rate ``_CENTER_RATE``) after each loss evaluation;
+    gradients never flow into them.
     """
 
-    def __init__(self, n_classes, feature_dim, lam=0.1, centroids=None):
+    def __init__(self, n_classes, feature_dim, lam, centroids):
         if lam < 0:
             raise ConfigError(f"balance weight must be >= 0, got {lam}")
         self.n_classes = int(n_classes)
         self.feature_dim = int(feature_dim)
         self.lam = float(lam)
-        if centroids is None:
-            self.centroids = np.zeros((n_classes, feature_dim))
-        else:
-            self.centroids = np.asarray(centroids, dtype=np.float64).copy()
-            if self.centroids.shape != (n_classes, feature_dim):
-                raise ShapeError(
-                    f"centroids must be [{n_classes},{feature_dim}], "
-                    f"got {self.centroids.shape}"
-                )
+        self.centroids = np.asarray(centroids, dtype=np.float64).copy()
+        if self.centroids.shape != (n_classes, feature_dim):
+            raise ShapeError(
+                f"centroids must be [{n_classes},{feature_dim}], "
+                f"got {self.centroids.shape}"
+            )
 
 
 def center_loss(features, logits_params, labels, state):

@@ -54,7 +54,7 @@ def merge(a, b, mode):
     return data
 
 
-def sample_pairs(dataset, n_pairs, balance=0.5, rng_seed=0):
+def sample_pairs(dataset, n_pairs, balance=0.5, *, rng_seed):
     """Draw a balanced list of same/different pairs.
 
     Returns exactly ``n_pairs`` samples, round(balance * n_pairs) of them
@@ -92,9 +92,10 @@ def sample_pairs(dataset, n_pairs, balance=0.5, rng_seed=0):
     return out
 
 
-def holdout_split(dataset, held_out_classes, rng_seed=0):
-    """Partition the class set; pairs for testing come only from the
-    held-out classes, so evaluation sees entirely unseen identities."""
+def holdout_split(dataset, held_out_classes, rng_seed):
+    """Partition the class set, drawing the held-out classes from
+    ``rng_seed``; pairs for testing come only from the held-out classes,
+    so evaluation sees entirely unseen identities."""
     classes = dataset.classes
     if held_out_classes >= len(classes):
         raise ConfigError(

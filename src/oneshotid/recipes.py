@@ -161,7 +161,7 @@ def _parse_augment(items, key_types, default_multiplier):
     return AugmentConfig(**kwargs), multiplier
 
 
-def parse_recipe_text(text, name="<recipe>"):
+def parse_recipe_text(text, name):
     parser = _read_ini(text, name, "experiment")
     extra = set(parser.sections()) - {"experiment", "train", "augment"}
     if extra:
@@ -343,9 +343,10 @@ def _start_run(recipe, data_dir, out_dir, command):
                      ("dataset_sha256", dataset_hash(dataset))]
 
 
-def run_experiment(recipe, data_dir, out_dir, command="train"):
+def run_experiment(recipe, data_dir, out_dir, command):
     """Execute a recipe end to end; returns a result dict and writes run
-    artifacts (reports, checkpoints, manifest) under out_dir.
+    artifacts (reports, checkpoints, manifest) under out_dir.  ``command``
+    is the CLI command recorded in the manifest.
 
     Under k-fold each fold trains with a seed derived from (recipe seed,
     fold), so a fold's results do not depend on the folds run before it.
@@ -371,7 +372,7 @@ def run_experiment(recipe, data_dir, out_dir, command="train"):
                     exc.add_note(f"in fold {fold}")
                 raise
             reports.append(report)
-            entries.append((f"fold.{fold}.seed", report.seed))
+            entries.append((f"fold.{fold}.seed", report.config["seed"]))
             entries.append((f"fold.{fold}.accuracy", report.test_accuracy))
         accs = [report.test_accuracy for report in reports]
         summary = {"mean": float(np.mean(accs)), "std": float(np.std(accs))}

@@ -5,7 +5,8 @@ a tensor with ``requires_grad=True`` appends one entry to the active tape.
 ``backward(loss)`` replays the tape once in reverse and accumulates
 gradients into the leaves.  Tapes are explicit and per-forward-pass: there
 is no global graph.  The stack of open tapes is module state, used from
-one thread.
+one thread.  Ops take Tensors; ``add``, ``sub`` and ``mul`` also take a
+plain number for either operand.
 
 Every op validates that finite inputs produced finite outputs and raises
 ``NumericError`` otherwise; NaN/Inf never propagates silently.
@@ -71,8 +72,6 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_tape")
 
     def __init__(self, data, requires_grad=False, dtype=None):
-        if isinstance(data, Tensor):
-            data = data.data
         self.data = np.asarray(data, dtype=dtype)
         self.requires_grad = bool(requires_grad)
         self.grad = None
@@ -99,14 +98,12 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{flag})"
 
 
-def _as_tensor(x, like=None):
+def _as_tensor(x, like):
     """``x`` as a Tensor.  A plain number next to the Tensor ``like`` gets
     the dtype NumPy gives a Python scalar there, so float32 stays float32."""
     if isinstance(x, Tensor):
         return x
-    if isinstance(like, Tensor) and isinstance(x, (int, float)):
-        return Tensor(np.asarray(x, dtype=np.result_type(like.data, x)))
-    return Tensor(np.asarray(x))
+    return Tensor(np.asarray(x, dtype=np.result_type(like.data, x)))
 
 
 def _check_finite(data, op_name):
@@ -162,9 +159,7 @@ def backward(loss):
                 acc = grads.get(id(t))
                 grads[id(t)] = ig if acc is None else acc + ig
             else:
-                if t.grad is None:
-                    t.grad = np.zeros_like(t.data)
-                t.grad = t.grad + ig
+                t.grad = ig if t.grad is None else t.grad + ig
 
 
 def _unbroadcast(g, shape):
@@ -217,22 +212,19 @@ def mul(a, b):
 
 
 def square(x):
-    x = _as_tensor(x)
     xd = x.data
     return from_op("square", xd * xd, (x,), lambda g: (2.0 * xd * g,))
 
 
 def relu(x):
     """max(x, 0); -0.0 maps to +0.0 and NaN stays NaN (so it raises)."""
-    x = _as_tensor(x)
     mask = x.data > 0  # subgradient at 0 is 0
     return from_op("relu", np.maximum(x.data, 0.0), (x,), lambda g: (g * mask,))
 
 
-def leaky_relu(x, alpha=0.01):
+def leaky_relu(x, alpha):
     """x where x > 0, else alpha*x, taken as max(x, alpha*x) for alpha <= 1
     and min(x, alpha*x) above; equal to the select, signed zeros included."""
-    x = _as_tensor(x)
     mask = x.data > 0
     data = (np.maximum if alpha <= 1 else np.minimum)(x.data, alpha * x.data)
     # Factors in g's dtype: a float64 alpha would promote float32 gradients.
@@ -241,7 +233,6 @@ def leaky_relu(x, alpha=0.01):
 
 
 def sigmoid(x):
-    x = _as_tensor(x)
     # stable in both tails
     xd = x.data
     y = np.empty_like(xd)
@@ -258,7 +249,6 @@ def sigmoid(x):
 
 def matmul(a, b):
     """Standard 2-D matrix product with dA = dC @ B^T, dB = A^T @ dC."""
-    a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
@@ -272,19 +262,16 @@ def matmul(a, b):
 
 
 def reshape(x, shape):
-    x = _as_tensor(x)
     old = x.shape
     return from_op("reshape", x.data.reshape(shape), (x,), lambda g: (g.reshape(old),))
 
 
 def transpose(x, axes):
-    x = _as_tensor(x)
     inv = np.argsort(axes)
     return from_op("transpose", x.data.transpose(axes), (x,), lambda g: (g.transpose(inv),))
 
 
 def tsum(x, axis=None):
-    x = _as_tensor(x)
     xshape = x.shape
     data = x.data.sum(axis=axis)
 
@@ -299,13 +286,11 @@ def tsum(x, axis=None):
 
 def tmean(x):
     """Mean over every element."""
-    x = _as_tensor(x)
     return mul(tsum(x), 1.0 / float(x.size))
 
 
-def softmax(x, axis=-1):
+def softmax(x, axis):
     """Max-stabilized softmax along ``axis``; rows sum to 1."""
-    x = _as_tensor(x)
     if x.ndim == 0:
         raise ShapeError("softmax needs at least one axis")
     ax = axis % x.ndim
@@ -322,13 +307,12 @@ def softmax(x, axis=-1):
     return from_op("softmax", y, (x,), bwd)
 
 
-def l2norm(x, axis=-1):
+def l2norm(x, axis):
     """Euclidean norm along ``axis``.
 
     The backward pass divides by ``norm + _EPS`` so the gradient stays
     finite at the zero vector, where the exact norm is not differentiable.
     """
-    x = _as_tensor(x)
     ax = axis % x.ndim
     n = np.sqrt((x.data * x.data).sum(axis=ax, keepdims=True))
     xd = x.data
@@ -339,9 +323,8 @@ def l2norm(x, axis=-1):
     return from_op("l2norm", n.squeeze(ax), (x,), bwd)
 
 
-def logsumexp(x, axis=-1):
+def logsumexp(x, axis):
     """log(sum(exp(x))) along ``axis``, max-stabilized."""
-    x = _as_tensor(x)
     ax = axis % x.ndim
     m = x.data.max(axis=ax, keepdims=True)
     e = np.exp(x.data - m)

@@ -99,7 +99,6 @@ class RunReport:
     val_loss: list
     val_acc: list
     wall_time: float
-    seed: int
     config: dict
     stopped_early: bool = False
     test_accuracy: float = None
@@ -117,7 +116,7 @@ class RunReport:
 
     def write_summary(self, path):
         items = {
-            "seed": self.seed,
+            "seed": self.config["seed"],
             "epochs_run": self.epochs_run,
             "stopped_early": self.stopped_early,
             "wall_time": f"{self.wall_time:.6f}",
@@ -420,8 +419,7 @@ def train(model, pairs, loss_kind, config, val_pairs=None):
         raise DataError("train needs a nonempty pair list")
     _check_loss_kind(model, loss_kind)
     val = list(val_pairs) if val_pairs is not None else pairs
-    report = RunReport([], [], [], [], wall_time=0.0, seed=config.seed,
-                       config=config.snapshot())
+    report = RunReport([], [], [], [], wall_time=0.0, config=config.snapshot())
     best = math.inf if config.monitor.endswith("loss") else -math.inf
     wait = 0
     t0 = time.perf_counter()

@@ -32,7 +32,7 @@ class _DiskFull:
 
 def _report():
     return tr.RunReport(train_loss=[0.5, 0.25], train_acc=[0.5, 0.75], val_loss=[0.5, 0.5],
-                        val_acc=[0.5, 0.5], wall_time=1.0, seed=3, config={"lr": 0.001})
+                        val_acc=[0.5, 0.5], wall_time=1.0, config={"lr": 0.001, "seed": 3})
 
 
 WRITERS = {

@@ -62,18 +62,18 @@ def rel_diff(a, b):
 
 class TestSquash:
     def test_zero_vector(self):
-        v = C.squash(T.Tensor(np.zeros(4)))
+        v = C.squash(T.Tensor(np.zeros(4)), axis=-1)
         np.testing.assert_allclose(v.data, np.zeros(4))
 
     def test_unit_vector_halves(self):
         g = np.array([1.0, 0.0, 0.0])
-        v = C.squash(T.Tensor(g))
+        v = C.squash(T.Tensor(g), axis=-1)
         np.testing.assert_allclose(v.data, 0.5 * g)
 
     def test_huge_vector_saturates_below_one(self):
         g = np.zeros(3)
         g[0] = 1000.0
-        n = np.linalg.norm(C.squash(T.Tensor(g)).data)
+        n = np.linalg.norm(C.squash(T.Tensor(g), axis=-1).data)
         assert n < 1.0
         assert abs(n - 1.0) < 1e-5
 
@@ -81,7 +81,7 @@ class TestSquash:
         rng = np.random.default_rng(13)
         for _ in range(30):
             g = rng.normal(scale=rng.uniform(0.1, 50), size=(3, 6))
-            v = C.squash(T.Tensor(g)).data
+            v = C.squash(T.Tensor(g), axis=-1).data
             norms = np.linalg.norm(v, axis=-1)
             assert (norms >= 0).all() and (norms < 1).all()
             # parallel: cross-ratio of unit vectors is 1
@@ -92,7 +92,7 @@ class TestSquash:
     def test_gradients(self):
         rng = np.random.default_rng(17)
         g = rng.normal(size=(4, 5)) + 0.3
-        check_grads(lambda t: T.tsum(T.square(C.squash(t))), [g], tol=1e-4)
+        check_grads(lambda t: T.tsum(T.square(C.squash(t, axis=-1))), [g], tol=1e-4)
         check_grads(lambda t: T.tsum(T.square(C.squash(t, axis=0))), [g], tol=1e-4)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -107,7 +107,7 @@ class TestSquash:
     def test_one_tape_entry_and_finite_gradient_at_zero(self):
         g = T.Tensor(np.zeros((2, 4)), requires_grad=True)
         with T.Tape() as tape:
-            v = C.squash(g)
+            v = C.squash(g, axis=-1)
             assert len(tape) == 1
             T.backward(T.tsum(T.mul(v, T.Tensor(np.ones((2, 4))))))
         assert np.array_equal(g.grad, np.zeros((2, 4)))
@@ -222,12 +222,6 @@ class TestDynamicRoute:
             assert rel_diff(c, c_ref) < 1e-12
         assert rel_diff(grad, grad_ref) < 1e-12
 
-    def test_final_couplings_are_last_history_entry(self):
-        u = T.Tensor(np.random.default_rng(67).normal(size=(2, 5, 3, 4)))
-        _, state = C.dynamic_route(u, 3)
-        assert isinstance(state.couplings, np.ndarray)
-        assert np.array_equal(state.couplings, state.coupling_history[-1])
-
     def test_one_tape_entry_per_call(self):
         u = T.Tensor(np.random.default_rng(71).normal(size=(2, 5, 3, 4)),
                      requires_grad=True)
@@ -302,7 +296,7 @@ def test_high_caps_rejects_sizes_below_one(field):
 
 class TestBuildCapsnet:
     def test_primary_count_at_reference_geometry(self):
-        stack = C.build_capsnet((28, 28, 1), n_classes=10, seed=1)
+        stack = C.build_capsnet((28, 28, 1), n_classes=10, d_out=16, seed=1)
         high = stack.layers[-1]
         assert high.n_in == 1152  # 6*6*256/8
 
@@ -318,8 +312,8 @@ class TestBuildCapsnet:
 
     def test_indivisible_capsule_length(self):
         with pytest.raises(ConfigError):
-            C.build_capsnet((14, 14, 1), n_classes=3, conv_channels=(8, 9),
-                            kernels=(3, 3), strides=(1, 1), n_p=4)
+            C.build_capsnet((14, 14, 1), n_classes=3, d_out=16, conv_channels=(8, 9),
+                            kernels=(3, 3), strides=(1, 1), n_p=4, seed=0)
 
     def test_gradients_through_network(self):
         stack = C.build_capsnet((10, 10, 1), n_classes=2, d_out=3,
@@ -405,17 +399,17 @@ class TestGenerateImages:
         model = self._model()
         seeds = [np.zeros((1, 10, 10))]
         with pytest.raises(StateError):
-            C.generate_images(model, seeds, 1)
+            C.generate_images(model, seeds, 1, scale=0.1, seed=0)
         model.recon_loss = 0.9  # above threshold
         with pytest.raises(StateError):
-            C.generate_images(model, seeds, 1)
+            C.generate_images(model, seeds, 1, scale=0.1, seed=0)
 
     def test_zero_perturbation_is_plain_reconstruction(self):
         model = self._model()
         model.recon_loss = 0.1
         rng = np.random.default_rng(16)
         img = rng.uniform(size=(1, 10, 10))
-        out = C.generate_images(model, [img], 1, scale=0.0)[0]
+        out = C.generate_images(model, [img], 1, scale=0.0, seed=0)[0]
         v = model.encoder(T.Tensor(img[None, ...]))
         mask = int(np.argmax(C.capsule_scores(v).data[0]))
         recon = model.decoder.decode(v, mask).data[0]

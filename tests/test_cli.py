@@ -308,11 +308,14 @@ def test_eval_checkpoint_without_metadata_exits_two(tmp_path, capsys):
     images = flat_images(tmp_path)
     ckpt = tmp_path / "bare.ckpt"
     tower = L.LayerStack([L.Flatten(), L.Dense(36, 4)], (1, 6, 6))
-    save_model(str(ckpt), tower)
-    manifest = tmp_path / "pairs.tsv"
-    manifest.write_text(f"{images['a0']}\t{images['a1']}\t1\n")
+    save_model(str(ckpt), tower, extra={})
+    manifest, arrays = read_checkpoint(ckpt)
+    del manifest["extra"]
+    write_checkpoint(ckpt, manifest, arrays)
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text(f"{images['a0']}\t{images['a1']}\t1\n")
     assert cli.main(["eval", "--checkpoint", str(ckpt),
-                     "--pairs", str(manifest)]) == 2
+                     "--pairs", str(pairs)]) == 2
     assert "metadata" in capsys.readouterr().err
 
 

@@ -1,7 +1,8 @@
 """Every name a package module imports is used in that module, every
 module-level private name is used somewhere in the package, every public
 function, class and method is called from outside the unit tests, and
-every parameter default of those is overridden by some such call.
+every parameter default is overridden by some such call but not by all
+of them.
 
 AST scans.  A name bound by ``import`` or ``from ... import`` counts as
 used when the module loads it anywhere (as a bare name or as the base of
@@ -18,8 +19,11 @@ class's name, for ``__init__``) in that same code passes it by keyword,
 by position or through ``*``/``**``; a constructor parameter named in
 ``spec_fields`` counts as passed, because checkpoints load those with
 ``**``.  An option that only unit tests set fails the scan.  So does a
-default of a private function or method that every call in the package
-passes: that default is dead.
+default that every real call overrides, public or private: that default
+is dead, and a caller that forgets the argument (a seed, say) would get
+it silently.  Real calls to a public name are those in the package and
+in the code above; real calls to a private name are those in the
+package.
 """
 
 import ast
@@ -258,34 +262,53 @@ def _non_call_references(tree):
             yield node.attr
 
 
-def dead_private_defaults(sources):
-    """(module, line, label, parameter) of each defaulted parameter of a
-    private function or method in ``sources`` ({module: source text}) that
-    every call in ``sources`` passes, by keyword or by position.  A
+def dead_defaults(sources, callers):
+    """(module, line, label, parameter) of each defaulted parameter in
+    ``sources`` ({module: source text}) that every call passes, by keyword
+    or by position.  Calls to a public name come from ``sources`` and
+    ``callers``; calls to a private name come from ``sources`` only.  A
     function that is never called, is called with ``*`` or ``**``, or is
-    referenced other than by a call (so it may be called elsewhere) is
-    left out."""
+    referenced other than by a call in that same code (so it may be called
+    elsewhere) is left out."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
-    calls, values = {}, set()
-    for tree in trees.values():
-        for name, n_positional, keywords in _calls(tree):
-            calls.setdefault(name, []).append((n_positional, keywords))
-        values.update(_non_call_references(tree))
 
-    def always_passed(name, position, param):
+    def index(scope):
+        calls, values = {}, set()
+        for tree in scope:
+            for name, n_positional, keywords in _calls(tree):
+                calls.setdefault(name, []).append((n_positional, keywords))
+            values.update(_non_call_references(tree))
+        return calls, values
+
+    scopes = {True: index(trees.values()),
+              False: index([*trees.values(), *map(ast.parse, callers)])}
+
+    def always_passed(private, name, position, param):
+        calls, values = scopes[private]
         return name not in values and bool(calls.get(name)) and all(
             keywords is not None and (param in keywords
                                       or (position is not None and n_positional > position))
             for n_positional, keywords in calls[name])
 
     return sorted((module, line, label, param) for module, tree in trees.items()
-                  for line, label, name, position, param in _defaulted_parameters(tree, True)
-                  if always_passed(name, position, param))
+                  for private in (False, True)
+                  for line, label, name, position, param in _defaulted_parameters(tree, private)
+                  if always_passed(private, name, position, param))
+
+
+def _tree_dead_defaults(private):
+    sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    callers = [p.read_text(encoding="utf-8") for p in CALLERS]
+    return [entry for entry in dead_defaults(sources, callers)
+            if entry[2].rsplit(".", 1)[-1].startswith("_") == private]
 
 
 def test_private_defaults_are_not_always_passed():
-    sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
-    assert dead_private_defaults(sources) == []
+    assert _tree_dead_defaults(private=True) == []
+
+
+def test_public_defaults_are_not_always_passed():
+    assert _tree_dead_defaults(private=False) == []
 
 
 def test_scan_finds_a_default_every_call_passes():
@@ -296,5 +319,23 @@ def test_scan_finds_a_default_every_call_passes():
                         "class C:\n    def _m(self, u=1, *, v=2):\n        pass\n"),
                "b.py": ("from .a import _f, _g, _h\n_f(0, 1)\n_f(0, y=2, z=3)\n"
                         "_g(1)\nhook = _g\n_h(*[1])\nC()._m(4, v=5)\n")}
-    assert dead_private_defaults(sources) == [
+    assert dead_defaults(sources, []) == [
         ("a.py", 1, "_f", "y"), ("a.py", 10, "C._m", "u"), ("a.py", 10, "C._m", "v")]
+
+
+def test_scan_finds_a_public_default_only_unit_tests_rely_on():
+    # Only unit tests would call f without a seed; g has a caller that omits
+    # it; h is referenced as a value, so it may be called anywhere.  Calls
+    # from callers do not count for the private _p.
+    sources = {"a.py": ("def f(x, seed=0):\n    pass\n"
+                        "def g(x, seed=0):\n    pass\n"
+                        "def h(x, seed=0):\n    pass\n"
+                        "def _p(x, seed=0):\n    pass\n"),
+               "b.py": ("from .a import f, g, h, _p\n"
+                        "f(1, seed=2)\ng(1, 2)\nh(1, seed=3)\n_p(1, 2)\n")}
+    callers = ["f(4, seed=5)\ng(6)\nhook = h\nh(7, 8)\n_p(9)\n"]
+    assert dead_defaults(sources, callers) == [
+        ("a.py", 1, "f", "seed"), ("a.py", 7, "_p", "seed")]
+    assert dead_defaults(sources, []) == [
+        ("a.py", 1, "f", "seed"), ("a.py", 3, "g", "seed"), ("a.py", 5, "h", "seed"),
+        ("a.py", 7, "_p", "seed")]

@@ -325,7 +325,7 @@ class TestMergedCnn:
 
     def test_too_small_for_two_pools(self):
         with pytest.raises(ShapeError):
-            L.build_merged_cnn((8, 8, 2))
+            L.build_merged_cnn((8, 8, 2), seed=0)
 
     def test_declared_shapes_match_forward(self):
         stack = L.build_merged_cnn((40, 40, 2), seed=3)
@@ -393,7 +393,7 @@ def test_dense_rejects_bad_input():
 
 
 def test_stack_rejects_wrong_input_shape():
-    stack = L.build_merged_cnn((32, 32, 2))
+    stack = L.build_merged_cnn((32, 32, 2), seed=0)
     with pytest.raises(ShapeError):
         stack(T.Tensor(np.zeros((1, 1, 32, 32))))
 

@@ -216,11 +216,11 @@ class TestCenterLoss:
         x = rng.normal(size=(5, 3))
         w = rng.normal(size=(3, 2))
         bias = np.zeros(2)
-        state = losses.CenterState(2, 3, lam=0.1)
+        state = losses.CenterState(2, 3, lam=0.1, centroids=np.zeros((2, 3)))
         losses.center_loss(T.Tensor(x), (T.Tensor(w), T.Tensor(bias)), [0] * 5, state)
         np.testing.assert_allclose(state.centroids[0], 0.5 * x.mean(axis=0))
         monkeypatch.setattr(losses, "_CENTER_RATE", 1.0)
-        state = losses.CenterState(2, 3, lam=0.1)
+        state = losses.CenterState(2, 3, lam=0.1, centroids=np.zeros((2, 3)))
         losses.center_loss(T.Tensor(x), (T.Tensor(w), T.Tensor(bias)), [0] * 5, state)
         np.testing.assert_allclose(state.centroids[0], x.mean(axis=0))
         np.testing.assert_allclose(state.centroids[1], np.zeros(3))
@@ -248,7 +248,7 @@ class TestCenterLoss:
 
     def test_negative_balance_rejected(self):
         with pytest.raises(ConfigError):
-            losses.CenterState(2, 3, lam=-0.1)
+            losses.CenterState(2, 3, lam=-0.1, centroids=np.zeros((2, 3)))
 
     def test_gradients(self):
         rng = np.random.default_rng(27)

@@ -50,7 +50,7 @@ def small_recipe(**overrides):
 # ---------------------------------------------------------------------------
 
 def test_parse_full_recipe():
-    recipe = rc.parse_recipe_text(FULL_RECIPE)
+    recipe = rc.parse_recipe_text(FULL_RECIPE, name="<recipe>")
     assert recipe.approach == "merged"
     assert recipe.merge_mode == "h-join"
     assert recipe.folds == 4
@@ -65,7 +65,7 @@ def test_parse_full_recipe():
 
 def test_parse_minimal_recipe_uses_defaults():
     recipe = rc.parse_recipe_text(
-        "[experiment]\napproach = siamese-cnn\ndataset = att-faces\n"
+        "[experiment]\napproach = siamese-cnn\ndataset = att-faces\n", name="<recipe>"
     )
     assert recipe.protocol == "kfold"
     assert recipe.folds == 10
@@ -75,7 +75,7 @@ def test_parse_minimal_recipe_uses_defaults():
 
 
 def test_single_seed_flows_into_train_config():
-    recipe = rc.parse_recipe_text(FULL_RECIPE)
+    recipe = rc.parse_recipe_text(FULL_RECIPE, name="<recipe>")
     assert recipe.seed == 7
     assert recipe.train.seed == 7
     reseeded = recipe.with_seed(21)
@@ -123,7 +123,7 @@ def test_single_seed_flows_into_train_config():
         "infinite-rotation"])
 def test_parse_rejects_invalid_recipes(text, needle):
     with pytest.raises(ConfigError, match=needle):
-        rc.parse_recipe_text(text)
+        rc.parse_recipe_text(text, name="<recipe>")
 
 
 def test_read_recipe_missing_file_is_config_error(tmp_path):
@@ -132,7 +132,7 @@ def test_read_recipe_missing_file_is_config_error(tmp_path):
 
 
 def test_recipe_items_flatten(tmp_path):
-    recipe = rc.parse_recipe_text(FULL_RECIPE)
+    recipe = rc.parse_recipe_text(FULL_RECIPE, name="<recipe>")
     items = dict(rc.recipe_items(recipe))
     assert items["approach"] == "merged"
     assert items["train.batch_size"] == 8
@@ -193,7 +193,7 @@ def test_downscale_applies():
 
 
 def test_build_model_merge_mode_the_images_cannot_take_is_config_error():
-    ds = Dataset(np.zeros((4, 24, 24, 2)), np.array([0, 0, 1, 1]))
+    ds = Dataset(np.zeros((4, 24, 24, 2)), np.array([0, 0, 1, 1]), source="")
     with pytest.raises(ConfigError, match=r"approach merged cannot take input shape "
                                           r"\(24, 24, 2\): h-join needs \[H,W\] images"):
         rc.build_model(small_recipe(merge_mode="h-join"), ds, seed=0)
@@ -284,7 +284,7 @@ def fast_train():
 
 def test_run_experiment_kfold_writes_artifacts(tmp_path):
     recipe = small_recipe(train=fast_train())
-    result = rc.run_experiment(recipe, None, tmp_path / "run")
+    result = rc.run_experiment(recipe, None, tmp_path / "run", "train")
     assert len(result["reports"]) == 2
     assert 0.0 <= result["summary"]["mean"] <= 1.0
     for fold in range(2):
@@ -311,8 +311,7 @@ def stub_folds(monkeypatch, accs, failures=None):
         if failures and fold in failures:
             raise failures[fold]
         report = RunReport(train_loss=[0.1], train_acc=[1.0], val_loss=[0.2],
-                           val_acc=[accs[fold]], wall_time=0.0, seed=config.seed,
-                           config=config.snapshot())
+                           val_acc=[accs[fold]], wall_time=0.0, config=config.snapshot())
         report.test_accuracy = accs[fold]
         return report
 
@@ -329,7 +328,7 @@ def test_run_experiment_kfold_runs_each_fold(tmp_path, monkeypatch):
     accs = [0.5, 0.75, 1.0]
     calls = stub_folds(monkeypatch, accs)
     recipe = small_recipe(folds=3)
-    result = rc.run_experiment(recipe, None, tmp_path / "run")
+    result = rc.run_experiment(recipe, None, tmp_path / "run", "train")
     assert [tag for tag, *_ in calls] == ["fold-0", "fold-1", "fold-2"]
     assert [r.test_accuracy for r in result["reports"]] == accs
     entries = manifest_entries(tmp_path / "run")
@@ -341,7 +340,8 @@ def test_run_experiment_kfold_runs_each_fold(tmp_path, monkeypatch):
 def test_run_experiment_kfold_summary_is_mean_and_std(tmp_path, monkeypatch):
     accs = [0.5, 0.75, 1.0]
     stub_folds(monkeypatch, accs)
-    summary = rc.run_experiment(small_recipe(folds=3), None, tmp_path / "run")["summary"]
+    summary = rc.run_experiment(small_recipe(folds=3), None, tmp_path / "run",
+                                "train")["summary"]
     assert abs(summary["mean"] - np.mean(accs)) <= 1e-12
     assert abs(summary["std"] - np.std(accs)) <= 1e-12
     entries = manifest_entries(tmp_path / "run")
@@ -352,9 +352,9 @@ def test_run_experiment_kfold_summary_is_mean_and_std(tmp_path, monkeypatch):
 def test_run_experiment_fold_seeds_are_order_independent(tmp_path, monkeypatch):
     recipe = small_recipe(folds=4, seed=21)
     first = stub_folds(monkeypatch, [0.5] * 4)
-    rc.run_experiment(recipe, None, tmp_path / "a")
+    rc.run_experiment(recipe, None, tmp_path / "a", "train")
     again = stub_folds(monkeypatch, [0.5] * 4)
-    rc.run_experiment(recipe, None, tmp_path / "b")
+    rc.run_experiment(recipe, None, tmp_path / "b", "train")
     assert again == first
     # a fold's seed and split depend on (recipe seed, fold) alone
     assert [seed for _, seed, _, _ in first] == [derive_seed(21, "fold", f) for f in range(4)]
@@ -365,19 +365,19 @@ def test_run_experiment_fold_seeds_are_order_independent(tmp_path, monkeypatch):
 def test_run_experiment_tags_fold_errors_with_fold(tmp_path, monkeypatch):
     stub_folds(monkeypatch, [0.5] * 4, failures={2: DataError("synthetic failure")})
     with pytest.raises(DataError, match=r"^fold 2: synthetic failure$"):
-        rc.run_experiment(small_recipe(folds=4), None, tmp_path / "run")
+        rc.run_experiment(small_recipe(folds=4), None, tmp_path / "run", "train")
 
 
 def test_run_experiment_fold_error_keeps_type_and_adds_fold(tmp_path, monkeypatch):
     stub_folds(monkeypatch, [0.5] * 4, failures={1: KeyError("monitor")})
     with pytest.raises(KeyError) as info:
-        rc.run_experiment(small_recipe(folds=4), None, tmp_path / "a")
+        rc.run_experiment(small_recipe(folds=4), None, tmp_path / "a", "train")
     assert str(info.value) == "'fold 1: monitor'"
 
     bad_bytes = UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
     stub_folds(monkeypatch, [0.5] * 4, failures={1: bad_bytes})
     with pytest.raises(UnicodeDecodeError) as info:
-        rc.run_experiment(small_recipe(folds=4), None, tmp_path / "b")
+        rc.run_experiment(small_recipe(folds=4), None, tmp_path / "b", "train")
     assert info.value.reason == "invalid start byte"
     assert "in fold 1" in info.value.__notes__
 
@@ -385,7 +385,7 @@ def test_run_experiment_fold_error_keeps_type_and_adds_fold(tmp_path, monkeypatc
 def test_run_experiment_holdout(tmp_path):
     recipe = small_recipe(protocol="holdout", held_out_classes=2,
                           train=fast_train())
-    result = rc.run_experiment(recipe, None, tmp_path / "run")
+    result = rc.run_experiment(recipe, None, tmp_path / "run", "train")
     assert len(result["reports"]) == 1
     manifest = (tmp_path / "run" / "manifest.txt").read_text()
     entries = dict(line.split("=", 1) for line in manifest.splitlines())
@@ -399,8 +399,8 @@ def test_run_experiment_holdout(tmp_path):
 
 def test_run_experiment_is_deterministic(tmp_path):
     recipe = small_recipe(train=fast_train())
-    rc.run_experiment(recipe, None, tmp_path / "a")
-    rc.run_experiment(recipe, None, tmp_path / "b")
+    rc.run_experiment(recipe, None, tmp_path / "a", "train")
+    rc.run_experiment(recipe, None, tmp_path / "b", "train")
     a = (tmp_path / "a" / "manifest.txt").read_bytes()
     b = (tmp_path / "b" / "manifest.txt").read_bytes()
     assert a == b
@@ -412,7 +412,7 @@ def test_run_experiment_is_deterministic(tmp_path):
 def test_run_experiment_siamese_records_threshold(tmp_path):
     recipe = small_recipe(approach="siamese-cnn", protocol="holdout",
                           held_out_classes=2, train=fast_train())
-    rc.run_experiment(recipe, None, tmp_path / "run")
+    rc.run_experiment(recipe, None, tmp_path / "run", "train")
     from oneshotid.checkpoint import read_checkpoint
 
     manifest, _ = read_checkpoint(tmp_path / "run" / "model.ckpt")

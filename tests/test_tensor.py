@@ -103,23 +103,23 @@ def test_matmul_gradients_match_finite_differences():
 
 
 def test_softmax_uniform():
-    y = T.softmax(T.Tensor([0.0, 0.0, 0.0]))
+    y = T.softmax(T.Tensor([0.0, 0.0, 0.0]), axis=-1)
     np.testing.assert_allclose(y.data, [1 / 3, 1 / 3, 1 / 3])
 
 
 def test_softmax_large_logits_no_overflow():
-    y = T.softmax(T.Tensor([1000.0, 1000.0]))
+    y = T.softmax(T.Tensor([1000.0, 1000.0]), axis=-1)
     np.testing.assert_allclose(y.data, [0.5, 0.5])
 
 
 def test_softmax_analytic():
-    y = T.softmax(T.Tensor([0.0, np.log(3.0)]))
+    y = T.softmax(T.Tensor([0.0, np.log(3.0)]), axis=-1)
     np.testing.assert_allclose(y.data, [0.25, 0.75])
 
 
 def test_softmax_empty_axis():
     with pytest.raises(ShapeError):
-        T.softmax(T.Tensor(np.zeros((2, 0))))
+        T.softmax(T.Tensor(np.zeros((2, 0))), axis=-1)
 
 
 def test_softmax_rows_sum_to_one():

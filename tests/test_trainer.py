@@ -183,7 +183,7 @@ def test_train_deterministic_given_seed():
     assert r1.train_acc == r2.train_acc
     assert r1.val_loss == r2.val_loss
     assert r1.val_acc == r2.val_acc
-    assert r1.seed == r2.seed
+    assert r1.config["seed"] == r2.config["seed"]
 
 
 def test_train_series_lengths_equal_and_acc_in_range():
