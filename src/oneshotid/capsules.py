@@ -15,7 +15,8 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ShapeError, StateError
-from .layers import Activation, Conv2d, Dense, Layer, LayerStack, _count, _hwc, _whole
+from .layers import (Activation, Conv2d, Dense, Layer, LayerStack, _he_uniform, _hwc,
+                     _whole)
 from .rng import derive_rng
 
 
@@ -141,7 +142,7 @@ class PrimaryCapsuleLayer(Layer):
     spec_fields = ("n_p",)
 
     def __init__(self, n_p):
-        self.n_p = _count("capsule length n_p", n_p)
+        self.n_p = _whole("capsule length n_p", n_p, 1)
 
     def out_shape(self, in_shape):
         if len(in_shape) != 3:
@@ -173,19 +174,13 @@ class HighLevelCapsuleLayer(Layer):
     spec_fields = ("n_in", "n_p", "n_out", "d_out", "routing_iters")
 
     def __init__(self, n_in, n_p, n_out, d_out, routing_iters=3, rng=None):
-        if rng is None:
-            rng = np.random.default_rng(0)
-        sizes = {"n_in": n_in, "n_p": n_p, "n_out": n_out, "d_out": d_out}
-        sizes = {name: _whole(name, size) for name, size in sizes.items()}
-        self.routing_iters = _count("routing_iters", routing_iters)
-        for name, size in sizes.items():
-            if size < 1:
-                raise ConfigError(f"high-level capsules need {name} >= 1, got {size}")
-        self.n_in, self.n_p, self.n_out, self.d_out = sizes.values()
-        limit = np.sqrt(6.0 / n_p)
-        self.weights = T.Tensor(
-            rng.uniform(-limit, limit, size=(n_in, n_out, d_out, n_p)), requires_grad=True
-        )
+        self.n_in = _whole("high-level capsules n_in", n_in, 1)
+        self.n_p = _whole("high-level capsules n_p", n_p, 1)
+        self.n_out = _whole("high-level capsules n_out", n_out, 1)
+        self.d_out = _whole("high-level capsules d_out", d_out, 1)
+        self.routing_iters = _whole("high-level capsules routing_iters", routing_iters, 1)
+        self.weights = T.Tensor(_he_uniform(rng, n_p, (n_in, n_out, d_out, n_p)),
+                                requires_grad=True)
 
     def params(self):
         return [("weights", self.weights)]

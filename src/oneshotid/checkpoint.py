@@ -13,12 +13,12 @@ manifest's ``extra`` object, which only ``save_pair_model`` and
 
 A layer's spec is its ``kind`` plus the attributes its ``spec_fields``
 names (see ``layers.Layer``), so loading calls the class registered for
-that kind with them; initializer arguments such as ``rng`` are left out
-because the parameters are loaded afterwards.  A spec whose kind is
-unknown, or whose keys differ from ``spec_fields``, is a FormatError; so
-is a NaN or infinite number anywhere in the manifest, a parameter whose
-dtype is not the first's or not float32 or float64, and layers whose
-shapes do not chain from the stack's ``input_shape``.
+that kind with them and no ``rng``: its parameters are zeros until the
+stored ones replace them, so a load draws no random numbers.  A spec
+whose kind is unknown, or whose keys differ from ``spec_fields``, is a
+FormatError; so is a NaN or infinite number anywhere in the manifest, a
+parameter whose dtype is not the first's or not float32 or float64, and
+layers whose shapes do not chain from the stack's ``input_shape``.
 """
 
 import json

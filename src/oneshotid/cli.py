@@ -178,17 +178,13 @@ def cmd_eval(args):
 
 def _identify(samples, scores):
     """Rank candidates per query; report the top match per query."""
-    queries = []
     groups = {}
     for (pa, pb, s), score in zip(samples, scores):
-        if pa not in groups:
-            groups[pa] = []
-            queries.append(pa)
-        groups[pa].append((pb, float(score), s.y))
+        groups.setdefault(pa, []).append((pb, float(score), s.y))
     hits = 0
     scored = 0
-    for q in queries:
-        ranked = sorted(groups[q], key=lambda r: -r[1])
+    for q, cands in groups.items():
+        ranked = sorted(cands, key=lambda r: -r[1])
         top_path = ranked[0][0]
         true_rank = next((i + 1 for i, r in enumerate(ranked) if r[2] == 1), None)
         if true_rank is not None:

@@ -18,6 +18,11 @@ phases then gives the input layout.  The input gradient is computed only for
 inputs that require one; the first convolution of a tower, which sees raw
 images, skips it.
 
+A parameter layer draws its initial weights from the ``rng`` it is given;
+the builders give each layer its own stream derived from their seed.  A
+layer built without one holds zeros for its caller to set, as a checkpoint
+load does, so nothing here falls back to a fixed stream.
+
 ``maxpool2d`` loops over the window taps, one strided slice of the input
 each: the forward is a running maximum of the slices, and the backward
 finds the winning tap of each output cell again by comparing the slices
@@ -35,36 +40,24 @@ from .errors import ConfigError, ShapeError
 from .rng import derive_rng
 
 
-def _whole(name, v):
+def _whole(name, v, least):
     """``v`` as an int; a ConfigError naming ``name`` unless it is a whole
-    number (a Python or numpy int; a bool or a float is not one)."""
-    if isinstance(v, numbers.Integral) and not isinstance(v, bool):
-        return int(v)
-    raise ConfigError(f"{name} must be a whole number, got {v!r}")
-
-
-def _count(name, v):
-    """``v`` as an int of at least 1; a ConfigError naming ``name`` otherwise."""
-    v = _whole(name, v)
-    if v < 1:
-        raise ConfigError(f"{name} must be at least 1, got {v}")
-    return v
+    number (a Python or numpy int; a bool or a float is not one) of at
+    least ``least``."""
+    if not isinstance(v, numbers.Integral) or isinstance(v, bool):
+        raise ConfigError(f"{name} must be a whole number, got {v!r}")
+    if v < least:
+        raise ConfigError(f"{name} must be at least {least}, got {v}")
+    return int(v)
 
 
 def _pair(name, v):
-    if isinstance(v, (tuple, list)):
-        if len(v) != 2:
-            raise ShapeError(f"expected a pair, got {v!r}")
-        return _whole(name, v[0]), _whole(name, v[1])
-    return _whole(name, v), _whole(name, v)
-
-
-def _check_sizes(op, **pairs):
-    """Raise a ConfigError naming the first (rows, cols) pair in ``pairs``
-    that has a size below 1."""
-    for name, (a, b) in pairs.items():
-        if a < 1 or b < 1:
-            raise ConfigError(f"{op} {name} must be at least 1, got {a}x{b}")
+    """``v``, one size or a (rows, cols) pair, as two ints of at least 1."""
+    if not isinstance(v, (tuple, list)):
+        v = (v, v)
+    elif len(v) != 2:
+        raise ShapeError(f"expected a pair, got {v!r}")
+    return _whole(name, v[0], 1), _whole(name, v[1], 1)
 
 
 def _window_extent(op, h, w, window, stride, pad=0):
@@ -103,7 +96,7 @@ def conv2d(x, weights, bias, stride=1, padding=0):
     if c != cw:
         raise ShapeError(f"conv2d channel mismatch: input has {c}, weights expect {cw}")
     sh, sw = _pair("conv stride", stride)
-    pad = _whole("conv padding", padding)
+    pad = _whole("conv padding", padding, 0)
     oh, ow = _window_extent("conv", h, w, (kh, kw), (sh, sw), pad)
 
     xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
@@ -195,6 +188,11 @@ class Layer:
 
 
 def _he_uniform(rng, fan_in, shape):
+    """Initial parameters of ``shape``: uniform on +-sqrt(6 / fan_in) drawn
+    from ``rng``, or zeros when ``rng`` is None, for a caller that sets the
+    parameters itself (a checkpoint load, say)."""
+    if rng is None:
+        return np.zeros(shape)
     limit = math.sqrt(6.0 / fan_in)
     return rng.uniform(-limit, limit, size=shape)
 
@@ -205,16 +203,11 @@ class Conv2d(Layer):
 
     def __init__(self, in_channels, out_channels, kernel=3, stride=1, padding=0, rng=None):
         kh, kw = _pair("conv kernel", kernel)
-        if rng is None:
-            rng = np.random.default_rng(0)
-        self.in_channels = _count("conv in_channels", in_channels)
-        self.out_channels = _count("conv out_channels", out_channels)
+        self.in_channels = _whole("conv in_channels", in_channels, 1)
+        self.out_channels = _whole("conv out_channels", out_channels, 1)
         self.kernel = (kh, kw)
         self.stride = _pair("conv stride", stride)
-        self.padding = _whole("conv padding", padding)
-        _check_sizes("conv", kernel=self.kernel, stride=self.stride)
-        if self.padding < 0:
-            raise ConfigError(f"conv padding must be at least 0, got {self.padding}")
+        self.padding = _whole("conv padding", padding, 0)
         self.weights = T.Tensor(
             _he_uniform(rng, in_channels * kh * kw, (out_channels, in_channels, kh, kw)),
             requires_grad=True,
@@ -244,7 +237,6 @@ class MaxPool2d(Layer):
     def __init__(self, window=2, stride=None):
         self.window = _pair("pool window", window)
         self.stride = _pair("pool stride", stride if stride is not None else self.window)
-        _check_sizes("pool", window=self.window, stride=self.stride)
 
     def out_shape(self, in_shape):
         if len(in_shape) != 3:
@@ -261,10 +253,8 @@ class Dense(Layer):
     spec_fields = ("in_features", "out_features")
 
     def __init__(self, in_features, out_features, rng=None):
-        if rng is None:
-            rng = np.random.default_rng(0)
-        self.in_features = _count("dense in_features", in_features)
-        self.out_features = _count("dense out_features", out_features)
+        self.in_features = _whole("dense in_features", in_features, 1)
+        self.out_features = _whole("dense out_features", out_features, 1)
         self.weights = T.Tensor(
             _he_uniform(rng, in_features, (in_features, out_features)), requires_grad=True
         )

@@ -80,7 +80,7 @@ class ExperimentRecipe:
             raise ConfigError(f"downscale must be >= 1, got {self.downscale}")
         if self.augment_multiplier < 0:
             raise ConfigError(f"augment multiplier must be >= 0, got {self.augment_multiplier}")
-        for key in ("caps_classes", "caps_d_out"):
+        for key in ("caps_classes", "caps_d_out", "routing_iters"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
         # one seed to rule the run: the trainer inherits the recipe seed

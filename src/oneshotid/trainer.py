@@ -136,9 +136,10 @@ class RunReport:
 # ---------------------------------------------------------------------------
 
 class RMSprop:
-    """Holds per-parameter accumulators for the lifetime of one run."""
+    """Holds per-parameter accumulators for the lifetime of one run; ``lr``,
+    ``rho`` and ``eps`` come from the run's TrainConfig."""
 
-    def __init__(self, params, lr=1e-4, rho=0.9, eps=1e-8):
+    def __init__(self, params, lr, rho, eps):
         self.params = list(params)
         self.lr = lr
         self.rho = rho

@@ -290,7 +290,7 @@ class TestPrimaryCapsules:
 @pytest.mark.parametrize("field", ["n_in", "n_p", "n_out", "d_out"])
 def test_high_caps_rejects_sizes_below_one(field):
     sizes = {"n_in": 6, "n_p": 2, "n_out": 3, "d_out": 4, field: 0}
-    with pytest.raises(ConfigError, match=f"{field} >= 1, got 0"):
+    with pytest.raises(ConfigError, match=f"{field} must be at least 1, got 0"):
         C.HighLevelCapsuleLayer(**sizes)
 
 

@@ -340,6 +340,22 @@ def test_stack_round_trip_params_and_outputs(tmp_path):
     assert np.array_equal(stack(x).data, loaded(x).data)
 
 
+def test_load_draws_no_random_numbers(tmp_path, monkeypatch):
+    tower = capsule_tower()
+    path = tmp_path / "caps.ckpt"
+    ckpt.save_model(path, tower, extra={"approach": "siamese-capsnet", "margin": 1.0})
+
+    def no_generator(*args):
+        raise AssertionError("a checkpoint load made a random generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    loaded = ckpt.load_model(path)
+    saved = tower.named_params()
+    assert [n for n, _ in loaded.named_params()] == [n for n, _ in saved]
+    for (_, a), (_, b) in zip(loaded.named_params(), saved):
+        assert np.array_equal(a.data, b.data)
+
+
 def test_stack_round_trip_preserves_layer_config(tmp_path):
     stack = small_stack()
     path = tmp_path / "stack.ckpt"
@@ -373,7 +389,8 @@ def test_empty_high_caps_spec_is_format_error_and_eval_exits_two(tmp_path, capsy
         return manifest
 
     rewrite_manifest(path, zero_d_out)
-    with pytest.raises(FormatError, match="HighLevelCapsuleLayer spec .*d_out >= 1, got 0"):
+    with pytest.raises(FormatError,
+                       match="HighLevelCapsuleLayer spec .*d_out must be at least 1, got 0"):
         ckpt.load_model(path)
     pairs = tmp_path / "pairs.tsv"
     pairs.write_text("a.pgm\tb.pgm\t1\n")
@@ -383,12 +400,12 @@ def test_empty_high_caps_spec_is_format_error_and_eval_exits_two(tmp_path, capsy
 
 # Layer 0 of a siamese tower is a conv, layer 2 a max pool, the last a dense.
 DEGENERATE_WINDOWS = {
-    "conv-stride-zero": (0, {"stride": [0, 0]}, "conv stride must be at least 1, got 0x0"),
-    "conv-kernel-zero": (0, {"kernel": [0, 0]}, "conv kernel must be at least 1, got 0x0"),
+    "conv-stride-zero": (0, {"stride": [0, 0]}, "conv stride must be at least 1, got 0"),
+    "conv-kernel-zero": (0, {"kernel": [0, 0]}, "conv kernel must be at least 1, got 0"),
     "conv-stride-negative": (0, {"stride": [-1, -1]}, "conv stride must be at least 1"),
     "conv-padding-negative": (0, {"padding": -1}, "conv padding must be at least 0, got -1"),
-    "pool-window-zero": (2, {"window": [0, 2]}, "pool window must be at least 1, got 0x2"),
-    "pool-stride-zero": (2, {"stride": [2, 0]}, "pool stride must be at least 1, got 2x0"),
+    "pool-window-zero": (2, {"window": [0, 2]}, "pool window must be at least 1, got 0"),
+    "pool-stride-zero": (2, {"stride": [2, 0]}, "pool stride must be at least 1, got 0"),
     "conv-in-channels-zero": (0, {"in_channels": 0},
                               "conv in_channels must be at least 1, got 0"),
     "conv-out-channels-zero": (0, {"out_channels": 0},

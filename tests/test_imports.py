@@ -1,8 +1,8 @@
 """Every name a package module imports is used in that module, every
 module-level private name is used somewhere in the package, every public
-function, class and method is called from outside the unit tests, and
-every parameter default is overridden by some such call but not by all
-of them.
+function, class and method is called from outside the unit tests, every
+parameter default is overridden by some such call but not by all of
+them, and no module but ``rng.py`` makes a random generator.
 
 AST scans.  A name bound by ``import`` or ``from ... import`` counts as
 used when the module loads it anywhere (as a bare name or as the base of
@@ -23,7 +23,10 @@ default that every real call overrides, public or private: that default
 is dead, and a caller that forgets the argument (a seed, say) would get
 it silently.  Real calls to a public name are those in the package and
 in the code above; real calls to a private name are those in the
-package.
+package.  A call through a ``random`` module (``np.random.default_rng``,
+``np.random.seed``, ``random.random``) or of a generator constructor by
+name makes, seeds or draws from a generator outside the streams
+``rng.py`` derives from a run's seed, and fails the scan anywhere else.
 """
 
 import ast
@@ -339,3 +342,41 @@ def test_scan_finds_a_public_default_only_unit_tests_rely_on():
     assert dead_defaults(sources, []) == [
         ("a.py", 1, "f", "seed"), ("a.py", 3, "g", "seed"), ("a.py", 5, "h", "seed"),
         ("a.py", 7, "_p", "seed")]
+
+
+_GENERATOR_NAMES = ("default_rng", "RandomState", "SeedSequence")
+
+
+def _dotted(node):
+    """``a.b.c`` for a name or an attribute chain on one, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else None
+
+
+def generator_calls(source):
+    """(line, dotted name) of each call in ``source`` through a ``random``
+    module, or of a generator constructor by name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        name = _dotted(node.func) if isinstance(node, ast.Call) else None
+        if name and ("random" in name.split(".")[:-1]
+                     or name.rsplit(".", 1)[-1] in _GENERATOR_NAMES):
+            found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_only_the_rng_module_makes_generators():
+    assert [(p.name, line, name) for p in MODULES if p.name != "rng.py"
+            for line, name in generator_calls(p.read_text(encoding="utf-8"))] == []
+
+
+def test_scan_finds_a_stray_generator():
+    source = ("import random\nimport numpy as np\nfrom numpy.random import default_rng\n"
+              "rng = np.random.default_rng(0)\nnp.random.seed(1)\nrandom.seed(2)\n"
+              "default_rng()\nrng.random(3)\nrng.uniform(0, 1)\nderive_rng(4, 'x')\n")
+    assert generator_calls(source) == [
+        (4, "np.random.default_rng"), (5, "np.random.seed"), (6, "random.seed"),
+        (7, "default_rng")]

@@ -8,7 +8,7 @@ from oneshotid import capsules as C
 from oneshotid import checkpoint as ckpt
 from oneshotid import layers as L
 from oneshotid import tensor as T
-from oneshotid.errors import ShapeError
+from oneshotid.errors import ConfigError, ShapeError
 
 from gradcheck import check_grads, check_grads_sampled
 
@@ -441,3 +441,20 @@ def test_out_shape_matches_forward(kind):
     assert layer.kind == kind
     x = T.Tensor(np.random.default_rng(0).normal(size=(2, *in_shape)))
     assert layer(x).shape == (2, *layer.out_shape(in_shape))
+
+
+@pytest.mark.parametrize("kind", ["conv", "dense", "high_caps"])
+def test_layer_built_without_rng_holds_zeros(kind):
+    # The caller of a layer built without an rng sets its parameters itself.
+    make, _ = PROTOCOL_CASES[kind]
+    params = make().params()
+    assert params and all(not p.data.any() for _, p in params)
+
+
+@pytest.mark.parametrize("op", [
+    lambda x: L.conv2d(x, T.Tensor(np.ones((1, 1, 2, 2))), T.Tensor(np.zeros(1)), stride=0),
+    lambda x: L.maxpool2d(x, 2, stride=(2, 0)),
+], ids=["conv2d", "maxpool2d"])
+def test_functional_op_rejects_zero_stride(op):
+    with pytest.raises(ConfigError, match="stride must be at least 1, got 0"):
+        op(T.Tensor(np.ones((1, 1, 4, 4))))

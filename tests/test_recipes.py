@@ -114,13 +114,15 @@ def test_single_seed_flows_into_train_config():
      r"\[experiment\] margin = 'inf': not a finite number"),
     ("[experiment]\napproach = merged\ndataset = att-faces\n[augment]\nrotation = -inf 5\n",
      r"\[augment\] rotation"),
+    ("[experiment]\napproach = siamese-capsnet\ndataset = att-faces\nrouting_iters = 0\n",
+     "routing_iters must be >= 1, got 0"),
 ], ids=["no-approach", "no-dataset", "bad-approach", "unknown-key",
         "unknown-section", "bad-protocol", "bad-merge", "bad-folds",
         "bad-balance", "train-seed-rejected", "bad-augment-key",
         "augment-seed-rejected", "bad-augment-multiplier",
         "fractional-burn-count", "brightness-beyond-one", "nan-rotation",
         "nan-burn-intensity", "nan-blur-sigma", "nan-lr", "infinite-margin",
-        "infinite-rotation"])
+        "infinite-rotation", "routing-iters-zero"])
 def test_parse_rejects_invalid_recipes(text, needle):
     with pytest.raises(ConfigError, match=needle):
         rc.parse_recipe_text(text, name="<recipe>")

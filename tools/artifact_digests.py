@@ -1,6 +1,6 @@
 """Digest every artifact of a fixed end-to-end run of the oneshotid CLI.
 
-Usage: PYTHONPATH=src python tools/artifact_digests.py OUT
+Usage: PYTHONPATH=src python tools/artifact_digests.py OUT [float32]
 
 Runs, in this process and inside the new directory OUT:
 
@@ -9,6 +9,9 @@ Runs, in this process and inside the new directory OUT:
   with hold-out and once with 2-fold k-fold;
 - ``eval`` of every checkpoint on one pair manifest over the generated
   tree, with and without ``--identify``.
+
+With ``float32``, every recipe's ``[train]`` also sets ``precision =
+float32``; without it, training runs in the default float64.
 
 Prints each command with its exit code, stdout and stderr, then one
 ``sha256 path`` line per file under OUT, in sorted order; a
@@ -87,7 +90,8 @@ def digest(path):
     return hashlib.sha256(data).hexdigest()
 
 
-def main(out):
+def main(out, precision=None):
+    recipe = RECIPE + (f"precision = {precision}\n" if precision else "")
     os.makedirs(out)
     os.chdir(out)
     run("gen-synthetic", "--out", "synth", "--classes", str(CLASSES),
@@ -97,7 +101,7 @@ def main(out):
         for protocol in PROTOCOLS:
             name = f"{approach}-{protocol}"
             with open(f"{name}.cfg", "w", encoding="utf-8") as f:
-                f.write(RECIPE.format(approach=approach, protocol=protocol))
+                f.write(recipe.format(approach=approach, protocol=protocol))
             run("train", "--recipe", f"{name}.cfg", "--out", name)
             ckpt = f"{name}/model.ckpt" if protocol == "holdout" else f"{name}/fold-0/model.ckpt"
             run("eval", "--checkpoint", ckpt, "--pairs", "pairs.tsv")
@@ -110,6 +114,6 @@ def main(out):
 
 
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
+    if len(sys.argv) < 2 or sys.argv[2:] not in ([], ["float32"]):
         sys.exit(__doc__)
-    main(sys.argv[1])
+    main(*sys.argv[1:])
