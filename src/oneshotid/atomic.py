@@ -6,24 +6,33 @@ file next to the target, which then replaces the target in one
 ``os.replace``.  A run that fails or is interrupted while writing leaves
 the previous file as it was and no temporary file behind.  Run summaries,
 manifests and sidecars share one ``key=value`` line format, written by
-``write_key_values``.  The readers of checkpoints, PGM images and matrix
-files take their payloads through ``read_exactly``, which checks a size
-that a header claims against the file before reading.
+``write_key_values``.  Every binary payload (checkpoint manifest and
+parameters, matrix payload, PGM raster) enters memory through
+``read_array``, once, into the array the caller keeps.
 """
 
+import math
 import os
 import secrets
 from contextlib import contextmanager
 
+import numpy as np
 
-def read_exactly(f, nbytes):
-    """The next ``nbytes`` bytes of the binary file ``f``, or None if it
-    holds fewer.  The size is checked before reading, so a header that
-    claims more than the file holds never allocates the claimed size."""
-    if nbytes > os.fstat(f.fileno()).st_size - f.tell():
-        return None
-    data = f.read(nbytes)
-    return data if len(data) == nbytes else None
+from .errors import FormatError
+
+
+def read_array(f, dtype, shape, what):
+    """A new writable ``dtype`` array of ``shape`` read from the binary file
+    ``f``.  Fewer bytes left in ``f`` is a FormatError naming the file,
+    ``what`` was cut short and the byte count.  That is checked before
+    anything is allocated, so a header cannot make it allocate the size."""
+    dtype = np.dtype(dtype)
+    nbytes = math.prod(shape) * dtype.itemsize
+    if nbytes <= os.fstat(f.fileno()).st_size - f.tell():
+        arr = np.empty(shape, dtype)
+        if f.readinto(arr) == nbytes:
+            return arr
+    raise FormatError(f"{f.name}: truncated {what}, expected {nbytes} bytes")
 
 
 @contextmanager

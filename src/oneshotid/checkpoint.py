@@ -14,7 +14,8 @@ manifest's ``extra`` object, which only ``save_pair_model`` and
 A layer's spec is its ``kind`` plus the attributes its ``spec_fields``
 names (see ``layers.Layer``), so loading calls the class registered for
 that kind with them and no ``rng``: its parameters are zeros until the
-stored ones replace them, so a load draws no random numbers.  A spec
+stored ones replace them, so a load draws no random numbers.  A load reads
+each parameter once, into the array the layer then keeps.  A spec
 whose kind is unknown, or whose keys differ from ``spec_fields``, is a
 FormatError; so is a NaN or infinite number anywhere in the manifest, a
 parameter whose dtype is not the first's or not float32 or float64, and
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import capsules as caps
 from . import layers as L
-from .atomic import atomic_open, read_exactly
+from .atomic import atomic_open, read_array
 from .errors import ConfigError, FormatError, ShapeError
 from .pairing import MERGE_MODES
 from .trainer import DistancePairModel, MergedPairModel
@@ -123,9 +124,11 @@ def _finite_object(pairs):
 
 def write_checkpoint(path, manifest, named_arrays):
     """Low-level writer; ``named_arrays`` is a list of (name, ndarray)."""
+    named_arrays = [(name, arr.astype(arr.dtype.newbyteorder("<"), order="C", copy=False))
+                    for name, arr in named_arrays]
     manifest = dict(manifest)
     manifest["params"] = [
-        {"name": name, "shape": list(arr.shape), "dtype": arr.dtype.str.replace(">", "<")}
+        {"name": name, "shape": list(arr.shape), "dtype": arr.dtype.str}
         for name, arr in named_arrays
     ]
     blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
@@ -134,11 +137,16 @@ def write_checkpoint(path, manifest, named_arrays):
         f.write(struct.pack("<IQ", _VERSION, len(blob)))
         f.write(blob)
         for _, arr in named_arrays:
-            f.write(np.ascontiguousarray(arr).astype(arr.dtype.str.replace(">", "<")).tobytes())
+            f.write(arr)
 
 
 def read_checkpoint(path):
-    """Inverse of write_checkpoint: returns (manifest, list of (name, array))."""
+    """Inverse of write_checkpoint: returns (manifest, list of (name, array)).
+
+    A model built from the result keeps these arrays as its parameters, so
+    two built from one read share them: safe, as nothing updates a
+    parameter in place (``RMSprop`` and the training loop rebind ``p.data``).
+    """
     with open(path, "rb") as f:
         magic = f.read(8)
         if magic != _MAGIC:
@@ -149,11 +157,9 @@ def read_checkpoint(path):
         version, mlen = struct.unpack("<IQ", head)
         if version != _VERSION:
             raise FormatError(f"{path}: unsupported version {version}")
-        blob = read_exactly(f, mlen)
-        if blob is None:
-            raise FormatError(f"{path}: truncated manifest")
+        blob = read_array(f, "u1", (mlen,), "manifest")
         try:
-            manifest = json.loads(blob.decode("utf-8"), object_pairs_hook=_finite_object)
+            manifest = json.loads(str(blob, "utf-8"), object_pairs_hook=_finite_object)
         except ValueError as exc:
             raise FormatError(f"{path}: bad manifest: {exc}") from exc
         arrays = []
@@ -162,10 +168,7 @@ def read_checkpoint(path):
             if arrays and dtype != arrays[0][1].dtype:
                 raise FormatError(f"checkpoint {path} params[{k}] ({name!r}) has dtype {dtype}, "
                                   f"params[0] {arrays[0][1].dtype}; they must share one")
-            raw = read_exactly(f, math.prod(shape) * dtype.itemsize)
-            if raw is None:
-                raise FormatError(f"{path}: truncated buffer for {name}")
-            arrays.append((name, np.frombuffer(raw, dtype=dtype).reshape(shape)))
+            arrays.append((name, read_array(f, dtype, shape, f"buffer for {name}")))
         if f.read(1):
             raise FormatError(f"{path}: trailing bytes after parameter buffers")
     return manifest, arrays
@@ -181,7 +184,7 @@ def _load_into(stack, named_arrays):
             raise FormatError(
                 f"parameter {name!r} shape {arr.shape} does not match model {p.data.shape}"
             )
-        p.data = np.array(arr, copy=True)
+        p.data = arr
     if expected:
         raise FormatError(f"checkpoint missing parameters: {sorted(expected)}")
 

@@ -264,12 +264,10 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except (ConfigError, DataError, FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        print(f"error: {str(exc) or type(exc).__name__}", *getattr(exc, "__notes__", ()),
+              sep="\n", file=sys.stderr)
+        return 2 if isinstance(exc, (ConfigError, DataError, FormatError)) else 1
 
 
 if __name__ == "__main__":

@@ -7,14 +7,13 @@ fold splitting.  All loaded pixel values are scaled to [0, 1]; images are
 kept channels-last ([H, W] or [H, W, C]) until batches are assembled.
 """
 
-import math
 import os
 import struct
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
-from .atomic import atomic_open, read_exactly
+from .atomic import atomic_open, read_array
 from .errors import ConfigError, DataError, FormatError
 from .rng import derive_rng
 
@@ -96,20 +95,16 @@ def read_matrix(path):
         shape = extents[:ndim]
         if any(e < 0 for e in extents) or any(e != 1 for e in extents[ndim:]):
             raise FormatError(f"{path}: bad extents {extents}")
-        dtype = _MATRIX_MAGIC[magic]
-        nbytes = math.prod(shape) * dtype.itemsize
-        payload = read_exactly(f, nbytes)
-        if payload is None:
-            raise FormatError(f"{path}: truncated payload, expected {nbytes} bytes")
+        payload = read_array(f, _MATRIX_MAGIC[magic], shape, "payload")
         if f.read(1):
             raise FormatError(f"{path}: trailing bytes after payload")
-    return np.frombuffer(payload, dtype=dtype).reshape(shape)
+    return payload
 
 
 def write_matrix(path, array):
     """Encode an ndarray into the matrix container; inverse of read_matrix."""
     arr = np.ascontiguousarray(array)
-    key = np.dtype(arr.dtype.str.replace(">", "<").replace("=", "<"))
+    key = arr.dtype.newbyteorder("<")
     if key not in _MATRIX_CODE:
         raise FormatError(f"dtype {arr.dtype} has no matrix type code")
     arr = arr.astype(key, copy=False)
@@ -117,7 +112,7 @@ def write_matrix(path, array):
     with atomic_open(path, "wb") as f:
         f.write(struct.pack("<ii", _MATRIX_CODE[key], arr.ndim))
         f.write(struct.pack(f"<{len(extents)}i", *extents))
-        f.write(arr.tobytes())
+        f.write(arr)
 
 
 def _find_matrix_file(dir_, split, kind):
@@ -157,13 +152,9 @@ def load_smallnorb_split(dir_, split, expected_examples):
         if len(cats) != 5:
             raise DataError(f"{split}: {len(cats)} categories, expected 5")
 
-    # channels-last float32 in [0,1]; assign per camera to avoid a second
-    # full-size temporary
-    h, w = dat.shape[2], dat.shape[3]
-    images = np.empty((n, h, w, 2), dtype=np.float32)
-    images[..., 0] = dat[:, 0]
-    images[..., 1] = dat[:, 1]
-    images /= 255.0
+    # channels-last float32 in [0,1] in one pass: the kept array is the only float32 one
+    images = np.divide(dat.transpose(0, 2, 3, 1), np.float32(255), dtype=np.float32,
+                       order="C")
 
     categories = cat.astype(np.int64)
     instances = info[:, 0].astype(np.int64)
@@ -223,15 +214,10 @@ def read_pgm(path):
         if not 0 < maxval < 65536:
             raise FormatError(f"{path}: maxval {maxval} out of range")
         # exactly one whitespace byte separates header from raster
-        two_byte = maxval > 255
-        payload = read_exactly(f, width * height * (2 if two_byte else 1))
-        if payload is None:
-            raise FormatError(f"{path}: truncated raster")
-    dtype = np.dtype(">u2") if two_byte else np.dtype("u1")
-    raw = np.frombuffer(payload, dtype=dtype).reshape(height, width)
+        raw = read_array(f, ">u2" if maxval > 255 else "u1", (height, width), "raster")
     if raw.max(initial=0) > maxval:
         raise FormatError(f"{path}: sample value exceeds maxval {maxval}")
-    return raw.astype(np.float64) / maxval
+    return np.divide(raw, maxval, dtype=np.float64)
 
 
 def write_pgm(path, image):
@@ -243,7 +229,7 @@ def write_pgm(path, image):
     q = np.rint(np.clip(img, 0.0, 1.0) * 255).astype(np.uint8)
     with atomic_open(path, "wb") as f:
         f.write(f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode())
-        f.write(q.tobytes())
+        f.write(q)
 
 
 def load_pgm_faces(dir_):

@@ -327,8 +327,8 @@ def _run_single(recipe, train_ds, eval_ds, config, out_dir, tag=""):
 
 def dataset_hash(dataset):
     h = hashlib.sha256()
-    h.update(np.ascontiguousarray(dataset.images).tobytes())
-    h.update(np.ascontiguousarray(dataset.class_ids).tobytes())
+    h.update(np.ascontiguousarray(dataset.images))
+    h.update(np.ascontiguousarray(dataset.class_ids))
     return h.hexdigest()
 
 

@@ -1,7 +1,9 @@
 """Rerun identity of every artifact of the CLI, in both precisions.
 
 ``tools/artifact_digests.py`` trains every approach under both protocols,
-evaluates every checkpoint and prints the digest of each file it wrote.
+evaluates every checkpoint, augments a PGM tree, compares the merge modes,
+trains on a stereo matrix fixture and prints the digest of each file it
+wrote.
 Two runs from the same source must print the same thing.  No digest is
 pinned: a trained artifact's bytes may depend on the BLAS build and the
 CPU.
@@ -16,7 +18,9 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "artifact_digests.py"
-RUNS = 19  # gen-synthetic, then train and two evals per approach and protocol
+# gen-synthetic, then train and two evals per approach and protocol, then
+# augment, compare-merging and a stereo train
+RUNS = 22
 
 
 def digests(out, *precision):
@@ -49,5 +53,5 @@ def test_rerun_prints_the_same_digests(runs, precision):
 
 def test_float32_changes_every_checkpoint(runs):
     wide, narrow = (checkpoint_digests(runs[p][0]) for p in ("float64", "float32"))
-    assert len(wide) == 9 and wide.keys() == narrow.keys()
+    assert len(wide) == 12 and wide.keys() == narrow.keys()
     assert all(wide[path] != narrow[path] for path in wide)

@@ -1,4 +1,5 @@
 import errno
+import json
 import os
 
 import numpy as np
@@ -9,6 +10,7 @@ from oneshotid import checkpoint as ckpt
 from oneshotid import datasets
 from oneshotid import trainer as tr
 from oneshotid.atomic import atomic_open
+from oneshotid.errors import FormatError
 
 
 class _DiskFull:
@@ -44,6 +46,51 @@ WRITERS = {
     "matrix": lambda p: datasets.write_matrix(p, np.arange(6, dtype=np.int32).reshape(2, 3)),
     "sidecar": lambda p: atomic.write_key_values(p, sorted({"seed": 7, "angle": 12.5}.items())),
 }
+
+
+# The binary readers, each returning the arrays it read from a WRITERS file.
+READERS = {
+    "checkpoint": lambda p: [arr for _, arr in ckpt.read_checkpoint(p)[1]],
+    "pgm": lambda p: [datasets.read_pgm(p)],
+    "matrix": lambda p: [datasets.read_matrix(p)],
+}
+
+
+@pytest.mark.parametrize("name", list(READERS))
+def test_binary_reader_returns_writable_arrays(tmp_path, name):
+    path = tmp_path / "artifact"
+    WRITERS[name](path)
+    arrays = READERS[name](path)
+    assert arrays and all(arr.flags.writeable for arr in arrays)
+
+
+# What each reader names when the last byte of its WRITERS file is cut off.
+TRUNCATED = {
+    "checkpoint": "buffer for w, expected 48 bytes",
+    "pgm": "raster, expected 12 bytes",
+    "matrix": "payload, expected 24 bytes",
+}
+
+
+@pytest.mark.parametrize("name", list(TRUNCATED))
+def test_truncated_payload_names_the_file_the_part_and_its_size(tmp_path, name):
+    path = tmp_path / "artifact"
+    WRITERS[name](path)
+    path.write_bytes(path.read_bytes()[:-1])
+    with pytest.raises(FormatError) as info:
+        READERS[name](path)
+    assert str(info.value) == f"{path}: truncated {TRUNCATED[name]}"
+
+
+def test_truncated_checkpoint_manifest_names_its_size(tmp_path):
+    path = tmp_path / "artifact"
+    WRITERS["checkpoint"](path)
+    manifest = {"model": "x", "params": [{"dtype": "<f8", "name": "w", "shape": [3, 2]}]}
+    size = len(json.dumps(manifest, sort_keys=True))
+    path.write_bytes(path.read_bytes()[:30])
+    with pytest.raises(FormatError) as info:
+        READERS["checkpoint"](path)
+    assert str(info.value) == f"{path}: truncated manifest, expected {size} bytes"
 
 
 @pytest.mark.parametrize("name", list(WRITERS))

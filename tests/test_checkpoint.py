@@ -1,6 +1,7 @@
 import hashlib
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -354,6 +355,36 @@ def test_load_draws_no_random_numbers(tmp_path, monkeypatch):
     assert [n for n, _ in loaded.named_params()] == [n for n, _ in saved]
     for (_, a), (_, b) in zip(loaded.named_params(), saved):
         assert np.array_equal(a.data, b.data)
+
+
+def wide_stack():
+    """A float64 stack of 8.4 MB whose parameters are nearly all one array."""
+    return L.LayerStack([L.Flatten(), L.Dense(1024, 1024, rng=derive_rng(0, "wide"))],
+                        (1, 32, 32))
+
+
+def traced_peak(fn, *args):
+    """Peak bytes tracemalloc sees allocated while ``fn(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_load_holds_each_parameter_once_beside_its_placeholder(tmp_path):
+    stack = wide_stack()
+    path = tmp_path / "wide.ckpt"
+    ckpt.save_model(path, stack, extra={})
+    held = sum(p.data.nbytes for _, p in stack.named_params())
+    assert traced_peak(ckpt.load_model, path) <= 2.2 * held
+
+
+def test_save_copies_no_parameter(tmp_path):
+    stack = wide_stack()
+    held = sum(p.data.nbytes for _, p in stack.named_params())
+    assert traced_peak(ckpt.save_model, tmp_path / "wide.ckpt", stack, {}) < 0.1 * held
 
 
 def test_stack_round_trip_preserves_layer_config(tmp_path):

@@ -131,6 +131,23 @@ def test_train_fold_data_error_exits_two_with_fold(tmp_path, capsys, monkeypatch
     assert "error: fold 0: no usable pairs" in capsys.readouterr().err
 
 
+def test_train_fold_error_without_message_names_fold_and_type(tmp_path, capsys,
+                                                              monkeypatch):
+    from oneshotid import recipes
+
+    run_single = recipes._run_single
+
+    def fail_in_fold_one(*args, **kwargs):
+        if kwargs["tag"] == "fold-1":
+            raise MemoryError()
+        return run_single(*args, **kwargs)
+
+    monkeypatch.setattr(recipes, "_run_single", fail_in_fold_one)
+    recipe = write_recipe(tmp_path)
+    assert cli.main(["train", "--recipe", recipe, "--out", str(tmp_path / "run")]) == 1
+    assert "error: MemoryError\nin fold 1\n" in capsys.readouterr().err
+
+
 HOLDOUT_RECIPE = """
 [experiment]
 approach = {approach}

@@ -1,3 +1,6 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -186,6 +189,21 @@ def test_smallnorb_recipe_loads_only_the_training_split(tmp_path):
     assert ds.source == "stereo-training"
     assert ds.image_shape == (8, 8, 2)
     assert len(ds.classes) == 6
+
+
+def test_dataset_hash_reads_the_arrays_in_place():
+    # 20 MB of float32 images: hashing them must not copy them
+    images = derive_rng(0, "images").random((1250, 64, 64), dtype=np.float32)
+    class_ids = np.arange(1250) % 10
+    ds = Dataset(images, class_ids, source="")
+    tracemalloc.start()
+    try:
+        digest = rc.dataset_hash(ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert digest == hashlib.sha256(images.tobytes() + class_ids.tobytes()).hexdigest()
 
 
 def test_downscale_applies():

@@ -8,7 +8,12 @@ Runs, in this process and inside the new directory OUT:
 - ``train`` of each approach on synthetic anodes of the same size, once
   with hold-out and once with 2-fold k-fold;
 - ``eval`` of every checkpoint on one pair manifest over the generated
-  tree, with and without ``--identify``.
+  tree, with and without ``--identify``;
+- ``augment`` of the generated tree, two copies per image;
+- ``compare-merging`` of the merged approach on synthetic anodes;
+- ``train`` of the merged approach with hold-out on a stereo fixture of
+  5 categories x 2 instances x 3 views at 96 px, written with
+  ``write_matrix`` and read at ``downscale = 4`` (24 px).
 
 With ``float32``, every recipe's ``[train]`` also sets ``precision =
 float32``; without it, training runs in the default float64.
@@ -33,10 +38,15 @@ import sys
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import numpy as np  # noqa: E402
+
 from oneshotid import cli  # noqa: E402  (after the BLAS thread setting)
+from oneshotid.datasets import write_matrix  # noqa: E402
 from oneshotid.recipes import APPROACHES, PROTOCOLS  # noqa: E402
+from oneshotid.rng import derive_rng  # noqa: E402
 
 CLASSES, VIEWS, SIZE = 4, 4, 24
+CATEGORIES, INSTANCES, STEREO_VIEWS, STEREO_SIZE = 5, 2, 3, 96
 
 RECIPE = f"""[experiment]
 approach = {{approach}}
@@ -59,6 +69,15 @@ batch_size = 8
 epochs = 2
 """
 
+AUGMENT = """[augment]
+multiplier = 2
+rotation = -20 20
+brightness = -0.1 0.1
+burn_count = 0 2
+contour_amplitude = 0.01
+seed = 5
+"""
+
 
 def run(*argv):
     """Run one CLI command and print it with its exit code and output."""
@@ -79,6 +98,20 @@ def write_pair_manifest(path):
                     other = f"synth/s{d}/{view}.pgm"
                     if other != query:
                         f.write(f"{query}\t{other}\t{int(c == d)}\n")
+
+
+def write_stereo_fixture(dir_):
+    """A smallNORB-format training split: uint8 camera pairs, category
+    ids and an info matrix whose first column is the instance."""
+    os.makedirs(dir_)
+    n = CATEGORIES * INSTANCES * STEREO_VIEWS
+    dat = derive_rng(0, "stereo").integers(0, 256, size=(n, 2, STEREO_SIZE, STEREO_SIZE))
+    write_matrix(f"{dir_}/fixture-training-dat.mat", dat.astype(np.uint8))
+    write_matrix(f"{dir_}/fixture-training-cat.mat",
+                 np.repeat(np.arange(CATEGORIES), INSTANCES * STEREO_VIEWS).astype(np.int32))
+    info = np.zeros((n, 4), dtype=np.int32)
+    info[:, 0] = np.arange(n) // STEREO_VIEWS % INSTANCES
+    write_matrix(f"{dir_}/fixture-training-info.mat", info)
 
 
 def digest(path):
@@ -106,6 +139,17 @@ def main(out, precision=None):
             ckpt = f"{name}/model.ckpt" if protocol == "holdout" else f"{name}/fold-0/model.ckpt"
             run("eval", "--checkpoint", ckpt, "--pairs", "pairs.tsv")
             run("eval", "--checkpoint", ckpt, "--pairs", "pairs.tsv", "--identify")
+    with open("augment.cfg", "w", encoding="utf-8") as f:
+        f.write(AUGMENT)
+    run("augment", "--in", "synth", "--recipe", "augment.cfg", "--out", "augmented")
+    with open("compare.cfg", "w", encoding="utf-8") as f:
+        f.write(recipe.format(approach="merged", protocol="kfold"))
+    run("compare-merging", "--recipe", "compare.cfg", "--out", "compare")
+    write_stereo_fixture("stereo")
+    with open("stereo.cfg", "w", encoding="utf-8") as f:
+        f.write(recipe.format(approach="merged", protocol="holdout")
+                .replace("dataset = synthetic-anodes", "dataset = smallnorb\ndownscale = 4"))
+    run("train", "--recipe", "stereo.cfg", "--data-dir", "stereo", "--out", "stereo-holdout")
     for root, dirs, files in os.walk("."):
         dirs.sort()
         for name in sorted(files):
