@@ -48,7 +48,8 @@ class RoutingState:
     """Diagnostics from one routing run.
 
     ``coupling_history`` holds a [..., N_p, J] array of c_ij per iteration
-    so tests can watch agreement evolve.
+    so tests can watch agreement evolve.  Each is a view of the couplings
+    the routing op keeps for its backward, so nothing may write to it.
     """
 
     def __init__(self, coupling_history):
@@ -82,7 +83,7 @@ def dynamic_route(u_hat, iterations=3):
     history = []
     for it in range(iterations):
         c = T.softmax(T.Tensor(b), axis=1).data
-        history.append(np.array(c.swapaxes(1, 2)).reshape(lead + (n_p, n_j)))
+        history.append(c.swapaxes(1, 2).reshape(lead + (n_p, n_j)))
         s = (c[:, :, None, :] @ u)[:, :, 0]
         v, n = _squash(s, -1)
         saved.append((c, s, n, v))

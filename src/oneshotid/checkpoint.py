@@ -1,7 +1,7 @@
 """Model checkpoints: a little-endian container with a JSON manifest.
 
-Layout: 8-byte magic, uint32 format version, uint64 manifest length, the
-manifest as UTF-8 JSON, then each parameter's raw bytes in manifest
+Layout: 8-byte magic, the 12-byte ``_HEADER`` (uint32 format version,
+uint64 manifest length), the manifest as UTF-8 JSON, then each parameter's raw bytes in manifest
 order.  The manifest records enough layer configuration to rebuild the
 architecture without touching initializer seeds, so a load is exact.
 
@@ -18,13 +18,13 @@ stored ones replace them, so a load draws no random numbers.  A load reads
 each parameter once, into the array the layer then keeps.  A spec
 whose kind is unknown, or whose keys differ from ``spec_fields``, is a
 FormatError; so is a NaN or infinite number anywhere in the manifest, a
-parameter whose dtype is not the first's or not float32 or float64, and
-layers whose shapes do not chain from the stack's ``input_shape``.
+parameter whose dtype is not ``'<f4'`` or ``'<f8'`` or not the first's, and
+layers whose shapes do not chain from the stack's ``input_shape``.  Every
+manifest value is read through ``_field``.
 """
 
 import json
 import math
-import struct
 
 import numpy as np
 
@@ -39,6 +39,9 @@ APPROACHES = ("merged", "siamese-cnn", "siamese-capsnet")
 
 _MAGIC = b"OSIDCKPT"
 _VERSION = 1
+_HEADER = np.dtype([("version", "<u4"), ("manifest_bytes", "<u8")])
+# The parameter dtypes write_checkpoint writes for float32 and float64.
+_DTYPES = ("<f4", "<f8")
 
 _LAYER_CLASSES = {cls.kind: cls for cls in (
     L.Conv2d, L.MaxPool2d, L.Dense, L.Activation, L.Flatten,
@@ -46,14 +49,11 @@ _LAYER_CLASSES = {cls.kind: cls for cls in (
 )}
 
 
-def _build_layer(spec):
-    if not isinstance(spec, dict):
-        raise FormatError(f"checkpoint layer spec {spec!r} is not an object")
-    fields = dict(spec)
-    kind = fields.pop("kind", None)
-    if kind not in _LAYER_CLASSES:
-        raise FormatError(f"unknown layer kind {kind!r} in checkpoint")
+def _build_layer(spec, where):
+    kind = _field(spec, "kind", where, lambda k: isinstance(k, str) and k in _LAYER_CLASSES,
+                  "a layer kind", None)
     cls = _LAYER_CLASSES[kind]
+    fields = {k: v for k, v in spec.items() if k != "kind"}
     if set(fields) != set(cls.spec_fields):
         raise FormatError(
             f"{cls.__name__} spec has fields {sorted(fields)}, "
@@ -73,42 +73,38 @@ def _stack_manifest(stack):
     }
 
 
-def _field(mapping, key, where, kind=object):
+_REQUIRED = object()
+
+
+def _field(mapping, key, where, ok, what, default=_REQUIRED):
+    """``mapping[key]`` from the manifest, or ``default`` when the key is
+    absent.  A ``mapping`` that is not a JSON object, a missing key with no
+    default, or a value for which ``ok`` is false is a FormatError naming
+    ``where`` and the key."""
     if not isinstance(mapping, dict):
         raise FormatError(f"checkpoint {where} is not an object")
-    try:
-        value = mapping[key]
-    except KeyError:
-        raise FormatError(f"checkpoint {where} has no {key!r}") from None
-    if not isinstance(value, kind):
-        raise FormatError(f"checkpoint {where} has {key} {value!r}, not a {kind.__name__}")
+    value = mapping.get(key, default)
+    if value is _REQUIRED:
+        raise FormatError(f"checkpoint {where} has no {key!r}")
+    if not ok(value):
+        raise FormatError(f"checkpoint {where} has {key} {value!r}, not {what}")
     return value
 
 
-def _sizes(spec, key, where):
-    value = _field(spec, key, where, list)
-    if not all(type(v) is int and v >= 0 for v in value):
-        raise FormatError(f"checkpoint {where} has {key} {value!r}, not a list of sizes")
-    return value
+def _is_object(value):
+    return isinstance(value, dict)
 
 
-def _param_spec(spec, where):
-    """(name, shape, dtype) of one manifest ``params`` entry, checked."""
-    name = _field(spec, "name", where)
-    if not isinstance(name, str):
-        raise FormatError(f"checkpoint {where} has name {name!r}, not a string")
-    shape = _sizes(spec, "shape", where)
-    dtype = _field(spec, "dtype", where)
-    try:
-        dtype = np.dtype(dtype) if isinstance(dtype, str) else None
-    except TypeError:
-        dtype = None
-    if dtype is None or dtype.kind not in "biuf":
-        raise FormatError(f"checkpoint {where} ({name!r}) has unknown dtype {spec['dtype']!r}")
-    if dtype.kind != "f" or dtype.itemsize not in (4, 8):
-        raise FormatError(f"checkpoint {where} ({name!r}) has dtype {dtype}, "
-                          f"not float32 or float64")
-    return name, shape, dtype
+def _is_list(value):
+    return isinstance(value, list)
+
+
+def _is_sizes(value):
+    return _is_list(value) and all(type(v) is int and v >= 0 for v in value)
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _finite_object(pairs):
@@ -134,7 +130,7 @@ def write_checkpoint(path, manifest, named_arrays):
     blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
     with atomic_open(path, "wb") as f:
         f.write(_MAGIC)
-        f.write(struct.pack("<IQ", _VERSION, len(blob)))
+        f.write(np.array((_VERSION, len(blob)), _HEADER))
         f.write(blob)
         for _, arr in named_arrays:
             f.write(arr)
@@ -151,10 +147,7 @@ def read_checkpoint(path):
         magic = f.read(8)
         if magic != _MAGIC:
             raise FormatError(f"{path}: not a checkpoint (magic {magic!r})")
-        head = f.read(12)
-        if len(head) < 12:
-            raise FormatError(f"{path}: truncated header")
-        version, mlen = struct.unpack("<IQ", head)
+        version, mlen = read_array(f, _HEADER, (), "header").item()
         if version != _VERSION:
             raise FormatError(f"{path}: unsupported version {version}")
         blob = read_array(f, "u1", (mlen,), "manifest")
@@ -162,11 +155,16 @@ def read_checkpoint(path):
             manifest = json.loads(str(blob, "utf-8"), object_pairs_hook=_finite_object)
         except ValueError as exc:
             raise FormatError(f"{path}: bad manifest: {exc}") from exc
+        params = _field(manifest, "params", f"{path} manifest", _is_list, "a list")
         arrays = []
-        for k, spec in enumerate(_field(manifest, "params", f"{path} manifest", list)):
-            name, shape, dtype = _param_spec(spec, f"{path} params[{k}]")
+        for k, spec in enumerate(params):
+            where = f"{path} params[{k}]"
+            name = _field(spec, "name", where, lambda v: isinstance(v, str), "a string")
+            shape = _field(spec, "shape", where, _is_sizes, "a list of sizes")
+            dtype = np.dtype(_field(spec, "dtype", where, _DTYPES.__contains__,
+                                    f"one of {_DTYPES}"))
             if arrays and dtype != arrays[0][1].dtype:
-                raise FormatError(f"checkpoint {path} params[{k}] ({name!r}) has dtype {dtype}, "
+                raise FormatError(f"checkpoint {where} ({name!r}) has dtype {dtype}, "
                                   f"params[0] {arrays[0][1].dtype}; they must share one")
             arrays.append((name, read_array(f, dtype, shape, f"buffer for {name}")))
         if f.read(1):
@@ -210,11 +208,12 @@ def _stack_from_checkpoint(manifest, arrays):
     kind = manifest.get("model")
     if kind != "stack":
         raise FormatError(f"checkpoint has unknown model kind {kind!r}")
-    spec = _field(manifest, "stack", "manifest")
-    layers = _field(spec, "layers", "stack", list)
-    shape = _sizes(spec, "input_shape", "stack")
+    spec = _field(manifest, "stack", "manifest", _is_object, "an object")
+    layers = _field(spec, "layers", "stack", _is_list, "a list")
+    shape = _field(spec, "input_shape", "stack", _is_sizes, "a list of sizes")
     try:
-        stack = L.LayerStack([_build_layer(s) for s in layers], tuple(shape))
+        stack = L.LayerStack([_build_layer(s, f"stack layers[{k}]")
+                              for k, s in enumerate(layers)], tuple(shape))
     except ShapeError as exc:
         raise FormatError(f"checkpoint stack does not chain from input_shape "
                           f"{shape}: {exc}") from exc
@@ -238,20 +237,6 @@ def save_pair_model(path, model, approach):
                                              "threshold": model.threshold})
 
 
-def _extra_value(extra, key, default, kinds, what):
-    value = extra.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        raise FormatError(f"checkpoint extra has {key} {value!r}, not {what}")
-    return value
-
-
-def _extra_choice(extra, key, default, choices):
-    value = extra.get(key, default)
-    if value not in choices:
-        raise FormatError(f"checkpoint extra has {key} {value!r}, not one of {choices}")
-    return value
-
-
 def pair_model_from_checkpoint(manifest, arrays):
     """Rebuild what save_pair_model wrote from what read_checkpoint returned.
 
@@ -261,16 +246,17 @@ def pair_model_from_checkpoint(manifest, arrays):
     ``approach`` is a ConfigError; an unknown approach or merge mode, or a
     value of the wrong JSON type, is a FormatError naming the key.
     """
-    extra = manifest.get("extra", {})
-    if not isinstance(extra, dict):
-        raise FormatError(f"checkpoint has extra {extra!r}, not an object")
+    extra = _field(manifest, "extra", "manifest", _is_object, "an object", {})
     if "approach" not in extra:
         raise ConfigError("checkpoint carries no experiment metadata; "
                           "expected one written by the train command")
-    approach = _extra_choice(extra, "approach", None, APPROACHES)
+    approach = _field(extra, "approach", "extra", APPROACHES.__contains__,
+                      f"one of {APPROACHES}")
     if approach == "merged":
-        merge_mode = _extra_choice(extra, "merge_mode", "stacked", MERGE_MODES)
+        merge_mode = _field(extra, "merge_mode", "extra", MERGE_MODES.__contains__,
+                            f"one of {MERGE_MODES}", "stacked")
         return MergedPairModel(_stack_from_checkpoint(manifest, arrays), merge_mode)
-    margin = _extra_value(extra, "margin", 1.0, (int, float), "a number")
-    tau = _extra_value(extra, "threshold", None, (int, float, type(None)), "a number or null")
+    margin = _field(extra, "margin", "extra", _is_number, "a number", 1.0)
+    tau = _field(extra, "threshold", "extra", lambda v: v is None or _is_number(v),
+                 "a number or null", None)
     return DistancePairModel(_stack_from_checkpoint(manifest, arrays), margin, tau)

@@ -8,7 +8,6 @@ kept channels-last ([H, W] or [H, W, C]) until batches are assembled.
 """
 
 import os
-import struct
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
@@ -79,19 +78,12 @@ _MATRIX_CODE = {v: k for k, v in _MATRIX_MAGIC.items()}
 def read_matrix(path):
     """Decode one magic-tagged little-endian matrix file to an ndarray."""
     with open(path, "rb") as f:
-        head = f.read(8)
-        if len(head) < 8:
-            raise FormatError(f"{path}: truncated header")
-        magic, ndim = struct.unpack("<ii", head)
+        magic, ndim = read_array(f, "<i4", (2,), "header").tolist()
         if magic not in _MATRIX_MAGIC:
             raise FormatError(f"{path}: unknown magic 0x{magic:08X}")
         if not 0 < ndim <= 16:
             raise FormatError(f"{path}: implausible ndim {ndim}")
-        n_extents = max(3, ndim)
-        raw = f.read(4 * n_extents)
-        if len(raw) < 4 * n_extents:
-            raise FormatError(f"{path}: truncated extent list")
-        extents = struct.unpack(f"<{n_extents}i", raw)
+        extents = tuple(read_array(f, "<i4", (max(3, ndim),), "extent list").tolist())
         shape = extents[:ndim]
         if any(e < 0 for e in extents) or any(e != 1 for e in extents[ndim:]):
             raise FormatError(f"{path}: bad extents {extents}")
@@ -110,8 +102,7 @@ def write_matrix(path, array):
     arr = arr.astype(key, copy=False)
     extents = list(arr.shape) + [1] * max(0, 3 - arr.ndim)
     with atomic_open(path, "wb") as f:
-        f.write(struct.pack("<ii", _MATRIX_CODE[key], arr.ndim))
-        f.write(struct.pack(f"<{len(extents)}i", *extents))
+        f.write(np.array([_MATRIX_CODE[key], arr.ndim, *extents], "<i4"))
         f.write(arr)
 
 
@@ -133,11 +124,18 @@ def load_smallnorb_split(dir_, split, expected_examples):
     Each example is a [96, 96, 2] camera pair in [0, 1] (float32: a full
     split is large).  Class ids label each physical toy (category and
     instance combined).  ``expected_examples`` (24300 for a full split) is
-    checked; pass None to accept reduced fixture files.
+    checked; pass None to accept reduced fixture files.  An image block
+    that is not uint8, or a category or info block that is not integer,
+    is a DataError naming the split and the dtype.
     """
     dat = read_matrix(_find_matrix_file(dir_, split, "dat"))
     cat = read_matrix(_find_matrix_file(dir_, split, "cat"))
     info = read_matrix(_find_matrix_file(dir_, split, "info"))
+    if dat.dtype != np.uint8:
+        raise DataError(f"{split}: image block has dtype {dat.dtype}, expected uint8")
+    for name, arr in (("category", cat), ("info", info)):
+        if arr.dtype.kind not in "iu":
+            raise DataError(f"{split}: {name} block has dtype {arr.dtype}, expected integer")
     if dat.ndim != 4 or dat.shape[1] != 2:
         raise DataError(f"{split}: expected [N,2,H,W] image block, got {dat.shape}")
     n = dat.shape[0]

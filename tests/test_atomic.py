@@ -93,6 +93,26 @@ def test_truncated_checkpoint_manifest_names_its_size(tmp_path):
     assert str(info.value) == f"{path}: truncated manifest, expected {size} bytes"
 
 
+# (WRITERS file, bytes of it kept, what its reader names): cuts inside the
+# checkpoint header, the matrix header and the matrix extent list.
+TRUNCATED_HEADERS = {
+    "checkpoint-header": ("checkpoint", 10, "header, expected 12 bytes"),
+    "matrix-header": ("matrix", 5, "header, expected 8 bytes"),
+    "matrix-extent-list": ("matrix", 12, "extent list, expected 12 bytes"),
+}
+
+
+@pytest.mark.parametrize("case", list(TRUNCATED_HEADERS))
+def test_truncated_header_names_the_file_the_part_and_its_size(tmp_path, case):
+    name, kept, what = TRUNCATED_HEADERS[case]
+    path = tmp_path / "artifact"
+    WRITERS[name](path)
+    path.write_bytes(path.read_bytes()[:kept])
+    with pytest.raises(FormatError) as info:
+        READERS[name](path)
+    assert str(info.value) == f"{path}: truncated {what}"
+
+
 @pytest.mark.parametrize("name", list(WRITERS))
 def test_failed_write_keeps_previous_file_and_leaves_no_temp(tmp_path, monkeypatch, name):
     path = tmp_path / "artifact"

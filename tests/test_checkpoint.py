@@ -127,6 +127,8 @@ BAD_SPECS = {
     "unknown-kind": (small_stack, lambda m: m["stack"]["layers"][1].update(kind="gelu"),
                      "gelu"),
     "no-kind": (small_stack, lambda m: m["stack"]["layers"][3].pop("kind"), "None"),
+    "list-kind": (small_stack, lambda m: m["stack"]["layers"][3].update(kind=["flatten"]),
+                  r"kind \['flatten'\]"),
     "bad-value": (small_stack, lambda m: m["stack"]["layers"][1].update(name="tanh"),
                   "tanh"),
     "encoder-layer": (capsule_tower, lambda m: m["stack"]["layers"][-1].pop("n_out"),
@@ -192,10 +194,11 @@ BAD_PARAMS = {
     "no-dtype": (lambda p: p.pop("dtype"), "'dtype'"),
     "shape-not-list": (lambda p: p.update(shape=12), "shape 12"),
     "negative-size": (lambda p: p.update(shape=[-1, 2]), "not a list of sizes"),
-    "unknown-dtype": (lambda p: p.update(dtype="<q9"), "unknown dtype"),
-    "object-dtype": (lambda p: p.update(dtype="O"), "unknown dtype"),
-    # Same byte count as <f8, so only the dtype check can catch it.
-    "int-dtype": (lambda p: p.update(dtype="<i8"), "dtype int64, not float32 or float64"),
+    "unknown-dtype": (lambda p: p.update(dtype="<q9"), "dtype '<q9'"),
+    "object-dtype": (lambda p: p.update(dtype="O"), "dtype 'O'"),
+    # Same byte count as <f8, so only the dtype check can catch these.
+    "int-dtype": (lambda p: p.update(dtype="<i8"), "dtype '<i8'"),
+    "big-endian-dtype": (lambda p: p.update(dtype=">f8"), "dtype '>f8'"),
     "dtype-not-shared": (lambda p: p.update(dtype="<f4", shape=[8]),
                          "dtype float32, params[0] float64"),
     "name-not-string": (lambda p: p.update(name=3), "not a string"),

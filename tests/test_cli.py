@@ -8,9 +8,10 @@ import pytest
 from oneshotid import cli
 from oneshotid import layers as L
 from oneshotid.checkpoint import read_checkpoint, save_model, write_checkpoint
-from oneshotid.datasets import read_pgm, write_matrix, write_pgm
+from oneshotid.datasets import load_pgm_faces, read_pgm, write_matrix, write_pgm
 from oneshotid.errors import DataError
 from oneshotid.pairing import PairSample, read_pair_manifest
+from oneshotid.recipes import load_recipe_dataset, parse_recipe_text
 from oneshotid.tensor import Tensor
 
 RECIPE = """
@@ -223,6 +224,18 @@ def test_merge_mode_the_images_cannot_take_exits_two_before_training(tmp_path, c
                      "--out", str(out)]) == 2
     assert ("approach merged cannot take input shape (24, 24, 2): "
             "h-join needs [H,W] images") in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_train_on_a_float_image_block_exits_two_before_writing(tmp_path, capsys):
+    data = write_norb_fixture(tmp_path / "norb")
+    write_matrix(data / "fixture-training-dat.mat", np.full((40, 2, 24, 24), 1000.0, np.float32))
+    recipe = write_recipe(tmp_path, NORB_HJOIN_RECIPE.replace("h-join", "stacked"))
+    out = tmp_path / "o"
+    assert cli.main(["train", "--recipe", recipe, "--data-dir", str(data),
+                     "--out", str(out)]) == 2
+    assert ("training: image block has dtype float32, expected uint8"
+            in capsys.readouterr().err)
     assert list(out.iterdir()) == []
 
 
@@ -748,6 +761,32 @@ def test_gen_synthetic_is_seed_deterministic(tmp_path):
                          "--views", "2", "--size", "16", "--seed", "4"]) == 0
     for p in sorted(a.rglob("*.pgm")):
         assert filecmp.cmp(p, b / p.relative_to(a), shallow=False)
+
+
+GEN_SYNTHETIC_RECIPE = """
+[experiment]
+approach = siamese-cnn
+dataset = synthetic-anodes
+protocol = kfold
+n_pairs = 8
+synthetic_classes = 3
+synthetic_views = 4
+image_size = 20
+seed = 7
+"""
+
+
+def test_gen_synthetic_tree_holds_the_recipes_synthetic_data(tmp_path):
+    # A checkpoint trained on a synthetic-anodes recipe is evaluated on the
+    # tree gen-synthetic writes for the same seed and sizes.
+    out = tmp_path / "synth"
+    assert cli.main(["gen-synthetic", "--seed", "7", "--classes", "3", "--views", "4",
+                     "--size", "20", "--out", str(out)]) == 0
+    recipe = parse_recipe_text(GEN_SYNTHETIC_RECIPE, "<recipe>")
+    expected = load_recipe_dataset(recipe, None)
+    tree = load_pgm_faces(str(out))
+    assert np.array_equal(tree.images, np.rint(np.clip(expected.images, 0, 1) * 255) / 255)
+    assert np.array_equal(tree.class_ids, expected.class_ids)
 
 
 # ---------------------------------------------------------------------------

@@ -10,16 +10,22 @@ from oneshotid.errors import ConfigError, DataError, FormatError
 class TestMatrixCodec:
     def test_round_trip_all_dtypes(self, tmp_path):
         rng = np.random.default_rng(1)
+        # (array, its type code): the header is the code, the rank, then the
+        # extents padded with 1s to at least three.
         cases = [
-            rng.integers(0, 255, size=(4, 2, 3, 3)).astype(np.uint8),
-            rng.integers(-9, 9, size=(5,)).astype(np.int32),
-            rng.normal(size=(2, 6)).astype(np.float32),
-            rng.normal(size=(3, 2, 2)).astype(np.float64),
-            rng.integers(-100, 100, size=(7, 2)).astype(np.int16),
+            (rng.integers(0, 255, size=(4, 2, 3, 3)).astype(np.uint8), 0x1E3D4C55),
+            (rng.integers(-9, 9, size=(5,)).astype(np.int32), 0x1E3D4C54),
+            (rng.normal(size=(2, 6)).astype(np.float32), 0x1E3D4C51),
+            (rng.normal(size=(3, 2, 2)).astype(np.float64), 0x1E3D4C53),
+            (rng.integers(-100, 100, size=(7, 2)).astype(np.int16), 0x1E3D4C56),
         ]
-        for i, arr in enumerate(cases):
+        for i, (arr, code) in enumerate(cases):
             p = tmp_path / f"m{i}.mat"
             D.write_matrix(p, arr)
+            extents = list(arr.shape) + [1] * max(0, 3 - arr.ndim)
+            header = (struct.pack("<ii", code, arr.ndim)
+                      + struct.pack(f"<{len(extents)}i", *extents))
+            assert p.read_bytes()[:len(header)] == header
             back = D.read_matrix(p)
             assert back.dtype == arr.dtype
             assert np.array_equal(back, arr)
@@ -129,6 +135,15 @@ class TestStereoLoader:
         _write_stereo_fixture(tmp_path, "training", seed=11)
         with pytest.raises(DataError):
             D.load_smallnorb(tmp_path, expected_examples=None)
+
+    @pytest.mark.parametrize("kind,dtype", [("dat", np.float32), ("dat", np.int32),
+                                            ("cat", np.float64), ("info", np.float32)])
+    def test_block_of_another_dtype_rejected(self, tmp_path, kind, dtype):
+        blocks = dict(zip(("dat", "cat", "info"),
+                          _write_stereo_fixture(tmp_path, "training", seed=14)))
+        D.write_matrix(tmp_path / f"fixture-training-{kind}.mat", blocks[kind].astype(dtype))
+        with pytest.raises(DataError, match=f"training: .* dtype {np.dtype(dtype)}, expected"):
+            D.load_smallnorb_split(tmp_path, "training", expected_examples=None)
 
     def test_deterministic_reload(self, tmp_path):
         _write_stereo_fixture(tmp_path, "training", seed=12)

@@ -2,7 +2,8 @@
 module-level private name is used somewhere in the package, every public
 function, class and method is called from outside the unit tests, every
 parameter default is overridden by some such call but not by all of
-them, and no module but ``rng.py`` makes a random generator.
+them, no module but ``rng.py`` makes a random generator, and no module
+decodes binary input around ``atomic.read_array``.
 
 AST scans.  A name bound by ``import`` or ``from ... import`` counts as
 used when the module loads it anywhere (as a bare name or as the base of
@@ -27,6 +28,9 @@ package.  A call through a ``random`` module (``np.random.default_rng``,
 ``np.random.seed``, ``random.random``) or of a generator constructor by
 name makes, seeds or draws from a generator outside the streams
 ``rng.py`` derives from a run's seed, and fails the scan anywhere else.
+An import of ``struct``, or a ``.read(...)`` call whose size is not a
+literal, fails the scan in any module: a size that comes from a file goes
+through ``read_array``, which checks it against the file before reading.
 """
 
 import ast
@@ -380,3 +384,36 @@ def test_scan_finds_a_stray_generator():
     assert generator_calls(source) == [
         (4, "np.random.default_rng"), (5, "np.random.seed"), (6, "random.seed"),
         (7, "default_rng")]
+
+
+def unchecked_reads(source):
+    """(line, source text) of each import of ``struct`` in ``source``, and of
+    each ``.read(...)`` call given a size that is not a literal."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            stray = any(alias.name == "struct" for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            stray = node.module == "struct"
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "read":
+            sizes = [*node.args, *(k.value for k in node.keywords)]
+            stray = not all(isinstance(size, ast.Constant) for size in sizes)
+        else:
+            continue
+        if stray:
+            found.append((node.lineno, ast.unparse(node)))
+    return sorted(found)
+
+
+def test_binary_input_is_read_through_read_array():
+    assert [(p.name, line, text) for p in MODULES
+            for line, text in unchecked_reads(p.read_text(encoding="utf-8"))] == []
+
+
+def test_scan_finds_an_unchecked_read():
+    source = ("import struct\nfrom struct import unpack\nimport os, json\n"
+              "f.read(8)\nf.read(4 * n)\nf.read(size=n)\nf.read()\nf.readinto(a)\n"
+              "read(n)\n")
+    assert unchecked_reads(source) == [
+        (1, "import struct"), (2, "from struct import unpack"), (5, "f.read(4 * n)"),
+        (6, "f.read(size=n)")]
