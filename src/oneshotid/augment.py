@@ -10,6 +10,7 @@ pipeline returns a float64 copy of the input, bit-for-bit.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
@@ -102,29 +103,36 @@ def _range(name, pair, lo_bound=None):
     return lo, hi
 
 
+@dataclass
 class AugmentConfig:
     """Parameter ranges for the augmentation chain; one draw per image."""
 
-    def __init__(self, rotation=(-180.0, 180.0), brightness=(-0.2, 0.2),
-                 burn_count=(0, 3), burn_radius=(2.0, 6.0),
-                 burn_intensity=(-0.4, 0.4), blur_sigma=1.5,
-                 contour_amplitude=0.02, contour_sigma=1.0,
-                 background=0.0, seed=0):
-        self.rotation = _range("rotation", rotation)
-        self.brightness = _range("brightness", brightness)
-        if not (-1.0 <= self.brightness[0] and self.brightness[1] <= 1.0):
-            raise ConfigError(f"brightness range must lie within [-1, 1], got {brightness}")
-        lo, hi = _range("burn count", burn_count, lo_bound=0)
+    rotation: tuple = (-180.0, 180.0)
+    brightness: tuple = (-0.2, 0.2)
+    burn_count: tuple = (0, 3)
+    burn_radius: tuple = (2.0, 6.0)
+    burn_intensity: tuple = (-0.4, 0.4)
+    blur_sigma: float = 1.5
+    contour_amplitude: float = 0.02
+    contour_sigma: float = 1.0
+    background: float = 0.0
+
+    def __post_init__(self):
+        self.rotation = _range("rotation", self.rotation)
+        lo, hi = _range("brightness", self.brightness)
+        if not (-1.0 <= lo and hi <= 1.0):
+            raise ConfigError(f"brightness range must lie within [-1, 1], got {self.brightness}")
+        self.brightness = (lo, hi)
+        lo, hi = _range("burn count", self.burn_count, lo_bound=0)
         if not (lo.is_integer() and hi.is_integer()):
-            raise ConfigError(f"burn count bounds must be whole numbers, got {burn_count}")
+            raise ConfigError(f"burn count bounds must be whole numbers, got {self.burn_count}")
         self.burn_count = (int(lo), int(hi))
-        self.burn_radius = _range("burn radius", burn_radius, lo_bound=1.0)
-        self.burn_intensity = _range("burn intensity", burn_intensity)
-        self.blur_sigma = _number("blur sigma", blur_sigma, lo_bound=0.0)
-        self.contour_amplitude = _number("contour amplitude", contour_amplitude, lo_bound=0.0)
-        self.contour_sigma = _number("contour sigma", contour_sigma, lo_bound=0.0)
-        self.background = _number("background", background)
-        self.seed = int(seed)
+        self.burn_radius = _range("burn radius", self.burn_radius, lo_bound=1.0)
+        self.burn_intensity = _range("burn intensity", self.burn_intensity)
+        self.blur_sigma = _number("blur sigma", self.blur_sigma, lo_bound=0.0)
+        self.contour_amplitude = _number("contour amplitude", self.contour_amplitude, lo_bound=0.0)
+        self.contour_sigma = _number("contour sigma", self.contour_sigma, lo_bound=0.0)
+        self.background = _number("background", self.background)
 
 
 def draw_params(config, seed):

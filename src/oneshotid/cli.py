@@ -10,8 +10,6 @@ import dataclasses
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .atomic import write_key_values
 from .augment import apply_params, draw_params
@@ -23,6 +21,7 @@ from .pairing import PairSample, read_pair_manifest
 from .recipes import (read_augment_config, read_recipe, run_experiment,
                       run_merge_comparison)
 from .rng import derive_seed
+from .tensor import Tensor, sigmoid
 from .trainer import choose_threshold, score_pairs
 
 
@@ -83,7 +82,7 @@ def build_parser():
 def _load_recipe(args):
     recipe = read_recipe(args.recipe)
     if args.seed is not None:
-        recipe = recipe.with_seed(args.seed)
+        recipe = dataclasses.replace(recipe, seed=args.seed)
     return recipe
 
 
@@ -146,25 +145,17 @@ def _check_images_fit(model, samples):
                             f"the checkpoint takes {want}")
 
 
-def _same_probability(margin):
-    """Softmax p(same) of two logits, from the margin z_diff - z_same."""
-    e = np.exp(-np.abs(margin))
-    return np.where(margin <= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
 def cmd_eval(args):
     model = pair_model_from_checkpoint(*read_checkpoint(args.checkpoint))
     samples = _load_manifest_pairs(args.pairs, args.data_dir)
     _check_images_fit(model, samples)
     _, distances, labels = score_pairs(model, [s for _, _, s in samples])
-    # Higher score = more confident the two views show the same object.
-    if model.kind == "merged":
-        scores = _same_probability(distances)
-    else:
-        scores = -distances
-
     if args.identify:
-        return _identify(samples, scores)
+        return _identify(samples, distances)
+
+    # Higher score = more confident the two views show the same object; a
+    # merged model prints the softmax p(same) of its logit margin.
+    scores = sigmoid(Tensor(-distances)).data if model.kind == "merged" else -distances
 
     if model.threshold is None:
         model.threshold, _ = choose_threshold(distances, labels)
@@ -176,15 +167,16 @@ def cmd_eval(args):
     return 0
 
 
-def _identify(samples, scores):
-    """Rank candidates per query; report the top match per query."""
+def _identify(samples, distances):
+    """Rank candidates per query by distance, nearest first (ties in
+    manifest order); report the top match per query."""
     groups = {}
-    for (pa, pb, s), score in zip(samples, scores):
-        groups.setdefault(pa, []).append((pb, float(score), s.y))
+    for (pa, pb, s), distance in zip(samples, distances):
+        groups.setdefault(pa, []).append((pb, float(distance), s.y))
     hits = 0
     scored = 0
     for q, cands in groups.items():
-        ranked = sorted(cands, key=lambda r: -r[1])
+        ranked = sorted(cands, key=lambda r: r[1])
         top_path = ranked[0][0]
         true_rank = next((i + 1 for i, r in enumerate(ranked) if r[2] == 1), None)
         if true_rank is not None:
@@ -215,11 +207,12 @@ def _pgm_tree(in_dir):
 
 
 def cmd_augment(args):
-    config, multiplier = read_augment_config(args.recipe)
+    config, multiplier, seed = read_augment_config(args.recipe)
     files = _pgm_tree(args.in_dir)
     if not files:
         raise DataError(f"no PGM images under {args.in_dir}")
-    seed = args.seed if args.seed is not None else config.seed
+    if args.seed is not None:
+        seed = args.seed
     written = 0
     for idx, path in enumerate(files):
         img = read_pgm(path)

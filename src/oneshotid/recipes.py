@@ -9,7 +9,6 @@ whole reproducibility story.
 import configparser
 import dataclasses
 import hashlib
-import inspect
 import os
 from dataclasses import dataclass, field
 
@@ -39,7 +38,7 @@ class ExperimentRecipe:
     dataset: str
     merge_mode: str = "stacked"
     protocol: str = "kfold"
-    folds: int = 10
+    folds: int = 3
     held_out_classes: int = 5
     n_pairs: int = 200
     n_val_pairs: int = 50
@@ -90,25 +89,10 @@ class ExperimentRecipe:
     def loss_kind(self):
         return "cross_entropy" if self.approach == "merged" else "contrastive"
 
-    def with_seed(self, seed):
-        return dataclasses.replace(self, seed=int(seed))
-
 
 # ---------------------------------------------------------------------------
 # parsing
 # ---------------------------------------------------------------------------
-
-def _scalar_keys(cls, exclude):
-    """INI keys of a dataclass: its str, int and float fields, minus ``exclude``."""
-    return {f.name: f.type for f in dataclasses.fields(cls)
-            if f.type in (str, int, float) and f.name not in exclude}
-
-
-# augment_multiplier is spelled ``multiplier`` in [augment], and the train
-# seed is always the recipe seed.
-_EXPERIMENT_KEYS = _scalar_keys(ExperimentRecipe, exclude=("augment_multiplier",))
-_TRAIN_KEYS = _scalar_keys(TrainConfig, exclude=("seed",))
-
 
 def _number_pair(raw):
     parts = raw.split()
@@ -117,12 +101,20 @@ def _number_pair(raw):
     return float(parts[0]), float(parts[1])
 
 
-# [augment] keys: ``multiplier`` and AugmentConfig's parameters, a tuple default
-# marking a range of two numbers.  A run derives its augment seed from the
-# recipe seed, so a recipe's section takes no seed; a standalone config does.
-_AUGMENT_KEYS = {name: _number_pair if isinstance(p.default, tuple) else type(p.default)
-                 for name, p in inspect.signature(AugmentConfig).parameters.items()}
-_RECIPE_AUGMENT_KEYS = {k: typ for k, typ in _AUGMENT_KEYS.items() if k != "seed"}
+def _section_keys(cls, exclude=()):
+    """INI keys of a dataclass and the parser of each: its str, int and
+    float fields, and its tuple fields as two numbers, minus ``exclude``."""
+    parsers = {str: str, int: int, float: float, tuple: _number_pair}
+    return {f.name: parsers[f.type] for f in dataclasses.fields(cls)
+            if f.type in parsers and f.name not in exclude}
+
+
+# augment_multiplier is spelled ``multiplier`` in [augment], and the train
+# seed is always the recipe seed.  A run derives its augment seed from the
+# recipe seed, so a recipe's [augment] takes no seed; a standalone config does.
+_EXPERIMENT_KEYS = _section_keys(ExperimentRecipe, exclude=("augment_multiplier",))
+_TRAIN_KEYS = _section_keys(TrainConfig, exclude=("seed",))
+_AUGMENT_KEYS = {**_section_keys(AugmentConfig), "multiplier": int}
 
 
 def _parse_section(section, items, key_types):
@@ -153,12 +145,12 @@ def _read_ini(text, name, required):
     return parser
 
 
-def _parse_augment(items, key_types, default_multiplier):
-    kwargs = _parse_section("augment", items, {**key_types, "multiplier": int})
-    multiplier = kwargs.pop("multiplier", default_multiplier)
+def _augment_config(settings, default_multiplier):
+    """AugmentConfig and multiplier of parsed [augment] ``settings``."""
+    multiplier = settings.pop("multiplier", default_multiplier)
     if multiplier < 0:
         raise ConfigError(f"[augment] multiplier must be >= 0, got {multiplier}")
-    return AugmentConfig(**kwargs), multiplier
+    return AugmentConfig(**settings), multiplier
 
 
 def parse_recipe_text(text, name):
@@ -179,8 +171,8 @@ def parse_recipe_text(text, name):
     augment = None
     multiplier = 0
     if "augment" in parser:
-        augment, multiplier = _parse_augment(parser.items("augment"), _RECIPE_AUGMENT_KEYS,
-                                             default_multiplier=0)
+        settings = _parse_section("augment", parser.items("augment"), _AUGMENT_KEYS)
+        augment, multiplier = _augment_config(settings, default_multiplier=0)
 
     return ExperimentRecipe(train=train_config, augment=augment,
                             augment_multiplier=multiplier, **exp)
@@ -196,9 +188,14 @@ def _read_config_text(path, what):
 
 def read_augment_config(path):
     """Parse a standalone augmentation config: an INI file whose [augment]
-    section uses a recipe's keys plus ``seed``; multiplier defaults to 1."""
+    section uses a recipe's keys plus ``seed``.  Returns the AugmentConfig,
+    the multiplier (default 1) and the seed (default 0)."""
     parser = _read_ini(_read_config_text(path, "augment config"), str(path), "augment")
-    return _parse_augment(parser.items("augment"), _AUGMENT_KEYS, default_multiplier=1)
+    settings = _parse_section("augment", parser.items("augment"),
+                              {**_AUGMENT_KEYS, "seed": int})
+    seed = settings.pop("seed", 0)
+    config, multiplier = _augment_config(settings, default_multiplier=1)
+    return config, multiplier, seed
 
 
 def read_recipe(path):
@@ -206,18 +203,14 @@ def read_recipe(path):
 
 
 def recipe_items(recipe):
-    """Flatten a recipe to sorted (key, value) pairs for manifests."""
+    """Flatten a recipe to sorted (key, value) pairs for manifests; a nested
+    config's fields are keyed ``name.field``, and an absent one gives none."""
     items = []
-    for f in dataclasses.fields(recipe):
-        value = getattr(recipe, f.name)
-        if f.name == "train":
-            items += [(f"train.{k}", v) for k, v in sorted(value.snapshot().items())]
-        elif f.name == "augment":
-            if value is not None:
-                for k in _RECIPE_AUGMENT_KEYS:
-                    items.append((f"augment.{k}", getattr(value, k)))
-        else:
-            items.append((f.name, value))
+    for key, value in dataclasses.asdict(recipe).items():
+        if isinstance(value, dict):
+            items += [(f"{key}.{k}", v) for k, v in value.items()]
+        elif value is not None:
+            items.append((key, value))
     return sorted(items)
 
 

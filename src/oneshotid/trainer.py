@@ -88,9 +88,6 @@ class TrainConfig:
     def dtype(self):
         return np.float64 if self.precision == "float64" else np.float32
 
-    def snapshot(self):
-        return asdict(self)
-
 
 @dataclass
 class RunReport:
@@ -413,14 +410,16 @@ def train(model, pairs, loss_kind, config, val_pairs=None):
     reproduces the run exactly.  When ``val_pairs`` is None the validation
     columns are computed on the training pairs; early stopping then
     monitors those.  The accuracy columns use the model's ``threshold``,
-    or each column's best tau while it is None.
+    or each column's best tau while it is None.  ``model`` keeps the last
+    epoch's parameters, not the best monitored epoch's: after an early
+    stop they are ``config.patience`` epochs past the last improvement.
     """
     pairs = list(pairs)
     if not pairs:
         raise DataError("train needs a nonempty pair list")
     _check_loss_kind(model, loss_kind)
     val = list(val_pairs) if val_pairs is not None else pairs
-    report = RunReport([], [], [], [], wall_time=0.0, config=config.snapshot())
+    report = RunReport([], [], [], [], wall_time=0.0, config=asdict(config))
     best = math.inf if config.monitor.endswith("loss") else -math.inf
     wait = 0
     t0 = time.perf_counter()

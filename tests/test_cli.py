@@ -12,7 +12,7 @@ from oneshotid.datasets import load_pgm_faces, read_pgm, write_matrix, write_pgm
 from oneshotid.errors import DataError
 from oneshotid.pairing import PairSample, read_pair_manifest
 from oneshotid.recipes import load_recipe_dataset, parse_recipe_text
-from oneshotid.tensor import Tensor
+from oneshotid.tensor import Tensor, sigmoid
 
 RECIPE = """
 [experiment]
@@ -246,6 +246,16 @@ def test_train_non_finite_augment_range_exits_two_before_writing(tmp_path, capsy
     assert not (tmp_path / "o").exists()
 
 
+def test_train_recipe_with_default_folds_exits_zero(tmp_path, capsys):
+    # protocol and folds at their defaults, on synthetic-anodes' default
+    # 6 views per class
+    recipe = write_recipe(tmp_path, "[experiment]\napproach = merged\n"
+                          "dataset = synthetic-anodes\nn_pairs = 8\nn_val_pairs = 6\n"
+                          "[train]\nbatch_size = 8\nepochs = 1\n")
+    assert cli.main(["train", "--recipe", recipe, "--out", str(tmp_path / "run")]) == 0
+    assert capsys.readouterr().out.startswith("folds=3 mean_accuracy=")
+
+
 def test_train_missing_recipe_exits_two(tmp_path, capsys):
     rcode = cli.main(["train", "--recipe", str(tmp_path / "absent.cfg"),
                       "--out", str(tmp_path / "o")])
@@ -450,6 +460,49 @@ def test_eval_merged_checkpoint_prints_softmax_same_probability(tmp_path, capsys
         assert f[3] == str(pred)
     labels = np.array([y for _, _, y in rows])
     assert summary == f"accuracy={float((preds == labels).mean()):.6g}"
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_merged_score_is_the_stable_two_branch_softmax(dtype):
+    # eval prints a merged pair's p(same) as sigmoid(-margin); bit for bit,
+    # that is the softmax of two logits from their margin m = z_diff - z_same
+    # in the form that is stable in both tails.
+    grid = [0.0, -0.0, 37.0, -37.0, 745.0, -745.0, *np.linspace(-800, 800, 16001)]
+    margin = np.array(grid, dtype=dtype)
+    e = np.exp(-np.abs(margin))
+    reference = np.where(margin <= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    printed = sigmoid(Tensor(-margin)).data
+    assert printed.dtype == reference.dtype == dtype
+    assert np.array_equal(printed, reference)
+
+
+def test_eval_identify_ranks_merged_candidates_past_saturation(tmp_path, capsys):
+    # p(same) is exactly 1.0 in float64 for every margin <= -37, so ranking
+    # by it ties these two candidates and manifest order would pick the
+    # wrong one listed first.  The margins are -40 (wrong) and -50 (true).
+    size = 6
+    paths = {}
+    for name, level in [("query", 0.0), ("wrong", 0.4), ("true", 0.5)]:
+        paths[name] = str(tmp_path / f"{name}.pgm")
+        write_pgm(paths[name], np.full((size, size), level))
+    # z_diff = 0 and z_same = 100 * the mean pixel of the pair
+    stack = L.LayerStack([L.Flatten(), L.Dense(2 * size * size, 2)], (2, size, size))
+    stack.layers[1].weights.data = np.zeros((2 * size * size, 2))
+    stack.layers[1].weights.data[:, 1] = 100.0 / (size * size)
+    stack.layers[1].bias.data = np.zeros(2)
+    ckpt = tmp_path / "merged.ckpt"
+    save_model(str(ckpt), stack, extra={"approach": "merged", "merge_mode": "stacked"})
+    manifest = tmp_path / "pairs.tsv"
+    manifest.write_text(f"{paths['query']}\t{paths['wrong']}\t0\n"
+                        f"{paths['query']}\t{paths['true']}\t1\n")
+
+    assert cli.main(["eval", "--checkpoint", str(ckpt), "--pairs", str(manifest)]) == 0
+    fields, _ = _eval_rows(capsys)
+    assert [f[2] for f in fields] == ["1", "1"]  # both print a saturated p(same)
+    assert cli.main(["eval", "--checkpoint", str(ckpt), "--pairs", str(manifest),
+                     "--identify"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"query={paths['query']}\ttop={paths['true']}\trank_of_true=1", "top1=1"]
 
 
 def test_eval_siamese_checkpoint_without_threshold_sweeps_manifest(tmp_path, capsys):

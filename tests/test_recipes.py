@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -71,7 +73,7 @@ def test_parse_minimal_recipe_uses_defaults():
         "[experiment]\napproach = siamese-cnn\ndataset = att-faces\n", name="<recipe>"
     )
     assert recipe.protocol == "kfold"
-    assert recipe.folds == 10
+    assert recipe.folds == 3
     assert recipe.train.batch_size == 32
     assert recipe.train.epochs == 20
     assert recipe.augment is None
@@ -81,7 +83,7 @@ def test_single_seed_flows_into_train_config():
     recipe = rc.parse_recipe_text(FULL_RECIPE, name="<recipe>")
     assert recipe.seed == 7
     assert recipe.train.seed == 7
-    reseeded = recipe.with_seed(21)
+    reseeded = dataclasses.replace(recipe, seed=21)
     assert reseeded.seed == 21
     assert reseeded.train.seed == 21
 
@@ -131,6 +133,16 @@ def test_parse_rejects_invalid_recipes(text, needle):
         rc.parse_recipe_text(text, name="<recipe>")
 
 
+def test_readme_example_recipe_parses():
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    text = readme.split("\n## CLI\n", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+    recipe = rc.parse_recipe_text(text, name="README.md")
+    assert (recipe.approach, recipe.dataset, recipe.folds) == ("merged", "synthetic-anodes", 3)
+    assert recipe.train.batch_size == 32
+    assert recipe.augment.rotation == (-15.0, 15.0) and recipe.augment_multiplier == 2
+
+
 def test_read_recipe_missing_file_is_config_error(tmp_path):
     with pytest.raises(ConfigError):
         rc.read_recipe(tmp_path / "absent.cfg")
@@ -147,8 +159,9 @@ def test_recipe_items_flatten(tmp_path):
 def test_read_augment_config_defaults_multiplier(tmp_path):
     path = tmp_path / "a.cfg"
     path.write_text("[augment]\nrotation = -5 5\n")
-    config, multiplier = rc.read_augment_config(path)
+    config, multiplier, seed = rc.read_augment_config(path)
     assert multiplier == 1
+    assert seed == 0
     assert config.rotation == (-5.0, 5.0)
     path.write_text("[other]\nx = 1\n")
     with pytest.raises(ConfigError):
@@ -165,7 +178,7 @@ def test_synthetic_dataset_is_seed_deterministic():
     d2 = rc.load_recipe_dataset(recipe, None)
     assert np.array_equal(d1.images, d2.images)
     assert len(d1.images) == 16
-    d3 = rc.load_recipe_dataset(recipe.with_seed(4), None)
+    d3 = rc.load_recipe_dataset(small_recipe(seed=4), None)
     assert not np.array_equal(d1.images, d3.images)
 
 
@@ -331,7 +344,7 @@ def stub_folds(monkeypatch, accs, failures=None):
         if failures and fold in failures:
             raise failures[fold]
         report = RunReport(train_loss=[0.1], train_acc=[1.0], val_loss=[0.2],
-                           val_acc=[accs[fold]], wall_time=0.0, config=config.snapshot())
+                           val_acc=[accs[fold]], wall_time=0.0, config=dataclasses.asdict(config))
         report.test_accuracy = accs[fold]
         return report
 

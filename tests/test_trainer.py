@@ -90,7 +90,9 @@ def test_config_rejects_bad_values(kwargs):
 
 
 def test_config_snapshot_is_plain_dict():
-    snap = tr.TrainConfig(seed=4).snapshot()
+    cfg = tr.TrainConfig(lr=0.0, epochs=1, seed=4)
+    snap = tr.train(merged_toy_model(), toy_pairs(), "cross_entropy", cfg).config
+    assert type(snap) is dict and snap == dataclasses.asdict(cfg)
     assert snap["seed"] == 4
     assert snap["batch_size"] == 32
 

@@ -10,6 +10,8 @@ Runs, in this process and inside the new directory OUT:
 - ``eval`` of every checkpoint on one pair manifest over the generated
   tree, with and without ``--identify``;
 - ``augment`` of the generated tree, two copies per image;
+- ``train`` of the merged approach with hold-out and an ``[augment]``
+  section of the same settings, two augmented copies per training image;
 - ``compare-merging`` of the merged approach on synthetic anodes;
 - ``train`` of the merged approach with hold-out on a stereo fixture of
   5 categories x 2 instances x 3 views at 96 px, written with
@@ -75,7 +77,6 @@ rotation = -20 20
 brightness = -0.1 0.1
 burn_count = 0 2
 contour_amplitude = 0.01
-seed = 5
 """
 
 
@@ -140,8 +141,11 @@ def main(out, precision=None):
             run("eval", "--checkpoint", ckpt, "--pairs", "pairs.tsv")
             run("eval", "--checkpoint", ckpt, "--pairs", "pairs.tsv", "--identify")
     with open("augment.cfg", "w", encoding="utf-8") as f:
-        f.write(AUGMENT)
+        f.write(AUGMENT + "seed = 5\n")
     run("augment", "--in", "synth", "--recipe", "augment.cfg", "--out", "augmented")
+    with open("augmented.cfg", "w", encoding="utf-8") as f:
+        f.write(recipe.format(approach="merged", protocol="holdout") + "\n" + AUGMENT)
+    run("train", "--recipe", "augmented.cfg", "--out", "augmented-holdout")
     with open("compare.cfg", "w", encoding="utf-8") as f:
         f.write(recipe.format(approach="merged", protocol="kfold"))
     run("compare-merging", "--recipe", "compare.cfg", "--out", "compare")
