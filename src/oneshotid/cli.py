@@ -12,15 +12,12 @@ import sys
 
 from . import __version__
 from .atomic import write_key_values
-from .augment import apply_params, draw_params
 from .checkpoint import pair_model_from_checkpoint, read_checkpoint
-from .datasets import (SyntheticAnodeSpec, export_pgm_tree,
-                       generate_synthetic_anodes, read_pgm, write_pgm)
+from .datasets import export_pgm_tree, read_pgm, write_pgm
 from .errors import ConfigError, DataError, FormatError
 from .pairing import PairSample, read_pair_manifest
-from .recipes import (read_augment_config, read_recipe, run_experiment,
-                      run_merge_comparison)
-from .rng import derive_seed
+from .recipes import (augmented_copies, read_augment_config, read_recipe,
+                      run_experiment, run_merge_comparison, synthetic_dataset)
 from .tensor import Tensor, sigmoid
 from .trainer import choose_threshold, score_pairs
 
@@ -213,20 +210,18 @@ def cmd_augment(args):
         raise DataError(f"no PGM images under {args.in_dir}")
     if args.seed is not None:
         seed = args.seed
-    written = 0
     for idx, path in enumerate(files):
         img = read_pgm(path)
         rel = os.path.relpath(path, args.in_dir)
         stem, _ = os.path.splitext(rel)
-        for copy in range(multiplier):
-            params = draw_params(config, seed=derive_seed(seed, "image", idx, copy))
-            out = apply_params(img, params, config)
+        copies = augmented_copies(img, idx, config, multiplier, seed)
+        for copy, (params, out) in enumerate(copies):
             out_path = os.path.join(args.out, f"{stem}-aug{copy}.pgm")
             os.makedirs(os.path.dirname(out_path), exist_ok=True)
             write_pgm(out_path, out)
             write_key_values(out_path + ".txt", sorted(params.items()))
-            written += 1
-    print(f"wrote {written} augmented images ({len(files)} inputs x {multiplier}) to {args.out}")
+    print(f"wrote {len(files) * multiplier} augmented images "
+          f"({len(files)} inputs x {multiplier}) to {args.out}")
     return 0
 
 
@@ -245,9 +240,7 @@ def cmd_compare_merging(args):
 
 def cmd_gen_synthetic(args):
     seed = args.seed if args.seed is not None else 0
-    spec = SyntheticAnodeSpec(size=(args.size, args.size),
-                              seed=derive_seed(seed, "data"))
-    ds = generate_synthetic_anodes(spec, args.classes, args.views)
+    ds = synthetic_dataset(seed, args.size, args.classes, args.views)
     paths = export_pgm_tree(ds, args.out)
     print(f"wrote {len(paths)} images to {args.out}")
     return 0

@@ -8,6 +8,7 @@ kept channels-last ([H, W] or [H, W, C]) until batches are assembled.
 """
 
 import os
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
@@ -17,24 +18,27 @@ from .errors import ConfigError, DataError, FormatError
 from .rng import derive_rng
 
 
+@dataclass(eq=False)
 class Dataset:
     """Images plus class ids.
 
     ``images`` is one array indexed on the first axis, so every image
     shares a shape by construction.  ``class_ids`` are the identity labels
-    pairing operates on; any extra per-example columns (e.g. category vs
-    instance) live in ``metadata``.
+    pairing operates on.  ``metadata`` holds any extra per-image columns
+    (e.g. category vs instance), each one value per image.
     """
 
-    def __init__(self, images, class_ids, source, metadata=None):
-        self.images = images
-        self.class_ids = np.asarray(class_ids)
-        if len(self.images) != len(self.class_ids):
-            raise DataError(
-                f"{len(self.images)} images but {len(self.class_ids)} class ids"
-            )
-        self.source = source
-        self.metadata = dict(metadata) if metadata else {}
+    images: np.ndarray
+    class_ids: np.ndarray
+    source: str
+    metadata: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.class_ids = np.asarray(self.class_ids)
+        self.metadata = {key: np.asarray(column) for key, column in self.metadata.items()}
+        for name, column in [("class ids", self.class_ids), *self.metadata.items()]:
+            if len(column) != len(self.images):
+                raise DataError(f"{len(self.images)} images but {len(column)} {name}")
 
     def __len__(self):
         return len(self.images)
@@ -49,16 +53,9 @@ class Dataset:
 
     def subset(self, indices):
         indices = np.asarray(indices)
-        meta = dict(self.metadata)
-        for key in ("categories", "instances"):
-            if key in meta:
-                meta[key] = np.asarray(meta[key])[indices]
-        return Dataset(
-            self.images[indices],
-            self.class_ids[indices],
-            source=self.source,
-            metadata=meta,
-        )
+        return replace(self, images=self.images[indices], class_ids=self.class_ids[indices],
+                       metadata={key: column[indices]
+                                 for key, column in self.metadata.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -372,13 +369,7 @@ def downscale(images, factor):
 
 
 def downscale_dataset(dataset, factor):
-    out = Dataset(
-        downscale(dataset.images, factor),
-        dataset.class_ids,
-        source=dataset.source,
-        metadata=dataset.metadata,
-    )
-    return out
+    return replace(dataset, images=downscale(dataset.images, factor))
 
 
 def export_pgm_tree(dataset, dir_):

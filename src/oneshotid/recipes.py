@@ -18,7 +18,7 @@ from .atomic import write_key_values
 from .augment import AugmentConfig, apply_params, draw_params
 from .capsules import build_capsnet
 from .checkpoint import APPROACHES, save_pair_model
-from .datasets import (Dataset, SyntheticAnodeSpec, downscale_dataset,
+from .datasets import (SyntheticAnodeSpec, downscale_dataset,
                        generate_synthetic_anodes, kfold_split, load_pgm_faces,
                        load_smallnorb_split)
 from .errors import ConfigError, ShapeError
@@ -145,9 +145,9 @@ def _read_ini(text, name, required):
     return parser
 
 
-def _augment_config(settings, default_multiplier):
-    """AugmentConfig and multiplier of parsed [augment] ``settings``."""
-    multiplier = settings.pop("multiplier", default_multiplier)
+def _augment_config(settings):
+    """AugmentConfig and multiplier (default 1) of parsed [augment] ``settings``."""
+    multiplier = settings.pop("multiplier", 1)
     if multiplier < 0:
         raise ConfigError(f"[augment] multiplier must be >= 0, got {multiplier}")
     return AugmentConfig(**settings), multiplier
@@ -168,14 +168,13 @@ def parse_recipe_text(text, name):
         train_kwargs = _parse_section("train", parser.items("train"), _TRAIN_KEYS)
     train_config = TrainConfig(**train_kwargs)
 
-    augment = None
-    multiplier = 0
+    augment = {}
     if "augment" in parser:
         settings = _parse_section("augment", parser.items("augment"), _AUGMENT_KEYS)
-        augment, multiplier = _augment_config(settings, default_multiplier=0)
+        config, multiplier = _augment_config(settings)
+        augment = {"augment": config, "augment_multiplier": multiplier}
 
-    return ExperimentRecipe(train=train_config, augment=augment,
-                            augment_multiplier=multiplier, **exp)
+    return ExperimentRecipe(train=train_config, **augment, **exp)
 
 
 def _read_config_text(path, what):
@@ -194,7 +193,7 @@ def read_augment_config(path):
     settings = _parse_section("augment", parser.items("augment"),
                               {**_AUGMENT_KEYS, "seed": int})
     seed = settings.pop("seed", 0)
-    config, multiplier = _augment_config(settings, default_multiplier=1)
+    config, multiplier = _augment_config(settings)
     return config, multiplier, seed
 
 
@@ -218,12 +217,17 @@ def recipe_items(recipe):
 # dataset / model assembly
 # ---------------------------------------------------------------------------
 
+def synthetic_dataset(seed, size, n_classes, views):
+    """The synthetic anodes of run seed ``seed``: ``n_classes`` classes of
+    ``views`` views each, ``size`` x ``size`` pixels."""
+    spec = SyntheticAnodeSpec(size=(size, size), seed=derive_seed(seed, "data"))
+    return generate_synthetic_anodes(spec, n_classes, views)
+
+
 def load_recipe_dataset(recipe, data_dir):
     if recipe.dataset == "synthetic-anodes":
-        spec = SyntheticAnodeSpec(size=(recipe.image_size, recipe.image_size),
-                                  seed=derive_seed(recipe.seed, "data"))
-        ds = generate_synthetic_anodes(spec, recipe.synthetic_classes,
-                                       recipe.synthetic_views)
+        ds = synthetic_dataset(recipe.seed, recipe.image_size, recipe.synthetic_classes,
+                               recipe.synthetic_views)
     elif recipe.dataset == "att-faces":
         if not data_dir:
             raise ConfigError("dataset att-faces needs --data-dir (or ONESHOT_DATA_DIR)")
@@ -267,25 +271,32 @@ def build_model(recipe, dataset, seed):
     return DistancePairModel(tower, margin=recipe.margin)
 
 
+def augmented_copies(image, index, config, multiplier, seed):
+    """Yield (params, augmented image) for each of ``multiplier`` copies of
+    the ``index``-th image, each drawn from a seed derived per (image, copy)."""
+    for copy in range(multiplier):
+        params = draw_params(config, seed=derive_seed(seed, "image", index, copy))
+        yield params, apply_params(image, params, config)
+
+
 def augment_dataset(dataset, config, multiplier, seed):
     """Extend a grayscale dataset with ``multiplier`` augmented copies per
-    image, each drawn from a seed derived per (image, copy)."""
+    image (see ``augmented_copies``); each copy keeps its image's class id
+    and metadata."""
     if multiplier < 1:
         return dataset
     if dataset.images.ndim != 3:
         raise ConfigError(
             f"augmentation needs grayscale [N,H,W] images, got {dataset.images.shape}"
         )
-    extra_imgs = []
-    extra_ids = []
-    for idx in range(len(dataset.images)):
-        for copy in range(multiplier):
-            params = draw_params(config, seed=derive_seed(seed, "image", idx, copy))
-            extra_imgs.append(apply_params(dataset.images[idx], params, config))
-            extra_ids.append(dataset.class_ids[idx])
-    images = np.concatenate([dataset.images, np.stack(extra_imgs)])
-    ids = np.concatenate([dataset.class_ids, np.array(extra_ids)])
-    return Dataset(images, ids, source=dataset.source, metadata=dataset.metadata)
+    copies = [out for index, image in enumerate(dataset.images)
+              for _, out in augmented_copies(image, index, config, multiplier, seed)]
+    rows = np.repeat(np.arange(len(dataset)), multiplier)
+    return dataclasses.replace(
+        dataset, images=np.concatenate([dataset.images, np.stack(copies)]),
+        class_ids=np.concatenate([dataset.class_ids, dataset.class_ids[rows]]),
+        metadata={key: np.concatenate([column, column[rows]])
+                  for key, column in dataset.metadata.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +307,7 @@ def _run_single(recipe, train_ds, eval_ds, config, out_dir, tag=""):
     """Train one model, write its artifacts under ``out_dir`` (in ``tag``
     when given) and return its RunReport; test accuracy comes from eval_ds
     pairs, a siamese model's threshold from training pairs."""
-    if recipe.augment is not None and recipe.augment_multiplier >= 1:
+    if recipe.augment is not None:
         train_ds = augment_dataset(train_ds, recipe.augment,
                                    recipe.augment_multiplier,
                                    derive_seed(config.seed, "augment"))
@@ -319,9 +330,12 @@ def _run_single(recipe, train_ds, eval_ds, config, out_dir, tag=""):
 
 
 def dataset_hash(dataset):
+    """SHA-256 of the images, then the class ids, each array's dtype and
+    shape hashed before its bytes, so a reshape changes the digest."""
     h = hashlib.sha256()
-    h.update(np.ascontiguousarray(dataset.images))
-    h.update(np.ascontiguousarray(dataset.class_ids))
+    for array in (dataset.images, dataset.class_ids):
+        h.update(f"{array.dtype.str} {array.shape}\n".encode())
+        h.update(np.ascontiguousarray(array))
     return h.hexdigest()
 
 

@@ -1,9 +1,10 @@
 """Rerun identity of every artifact of the CLI, in both precisions.
 
 ``tools/artifact_digests.py`` trains every approach under both protocols,
-evaluates every checkpoint, augments a PGM tree, trains a recipe with an
+evaluates every checkpoint, augments a PGM tree, trains recipes with an
 ``[augment]`` section, compares the merge modes, trains on a stereo matrix
-fixture and prints the digest of each file it wrote.
+fixture and on a PGM face tree, cross-validates under ``--seed``, stops a
+run early and prints the digest of each file it wrote.
 Two runs from the same source must print the same thing.  No digest is
 pinned: a trained artifact's bytes may depend on the BLAS build and the
 CPU.
@@ -19,8 +20,9 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "artifact_digests.py"
 # gen-synthetic, then train and two evals per approach and protocol, then
-# augment, an augmented train, compare-merging and a stereo train
-RUNS = 23
+# two augments, two augmented trains, compare-merging, a stereo train,
+# crossval, a face-tree train and an early-stopped train
+RUNS = 28
 
 
 def digests(out, *precision):
@@ -53,5 +55,5 @@ def test_rerun_prints_the_same_digests(runs, precision):
 
 def test_float32_changes_every_checkpoint(runs):
     wide, narrow = (checkpoint_digests(runs[p][0]) for p in ("float64", "float32"))
-    assert len(wide) == 13 and wide.keys() == narrow.keys()
+    assert len(wide) == 18 and wide.keys() == narrow.keys()
     assert all(wide[path] != narrow[path] for path in wide)

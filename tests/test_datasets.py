@@ -349,3 +349,39 @@ class TestDownscale:
         small = D.downscale_dataset(ds, 2)
         assert small.image_shape == (4, 4)
         assert np.array_equal(small.class_ids, ds.class_ids)
+
+
+class TestMetadata:
+    @staticmethod
+    def _dataset():
+        # 3 classes x 4 views of 8 px; the "row" column numbers the images
+        images = np.random.default_rng(9).uniform(0.2, 0.8, size=(12, 8, 8))
+        return D.Dataset(images, np.repeat([5, 6, 7], 4), source="",
+                         metadata={"row": np.arange(12)})
+
+    def test_columns_follow_their_images(self):
+        from oneshotid.augment import AugmentConfig
+        from oneshotid.pairing import class_subset
+        from oneshotid.recipes import augment_dataset
+
+        ds = self._dataset()
+        derived = [ds.subset([3, 0, 7]), *D.kfold_split(ds, 2, 1, seed=4),
+                   class_subset(ds, [5, 7])]
+        for out in derived:
+            rows = out.metadata["row"]
+            assert np.array_equal(out.images, ds.images[rows])
+            assert np.array_equal(out.class_ids, ds.class_ids[rows])
+        small = D.downscale_dataset(derived[1], 2)
+        assert np.array_equal(small.metadata["row"], derived[1].metadata["row"])
+        grown = augment_dataset(derived[3], AugmentConfig(rotation=(-10, 10)),
+                                multiplier=2, seed=1)
+        rows = grown.metadata["row"]
+        assert len(rows) == len(grown) == 24
+        assert np.array_equal(grown.class_ids, ds.class_ids[rows])
+        assert np.array_equal(grown.images[:8], ds.images[rows[:8]])
+
+    def test_column_of_another_length_is_rejected(self):
+        ds = self._dataset()
+        with pytest.raises(DataError, match="12 images but 11 row"):
+            D.Dataset(ds.images, ds.class_ids, source="",
+                      metadata={"row": np.arange(11)})

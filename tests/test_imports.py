@@ -31,6 +31,9 @@ name makes, seeds or draws from a generator outside the streams
 An import of ``struct``, or a ``.read(...)`` call whose size is not a
 literal, fails the scan in any module: a size that comes from a file goes
 through ``read_array``, which checks it against the file before reading.
+An import in ``cli.py`` of ``rng`` or ``augment``, or of a name from
+either, fails the scan: the CLI augments and synthesises through
+``recipes``, so it derives no seed of its own.
 """
 
 import ast
@@ -417,3 +420,36 @@ def test_scan_finds_an_unchecked_read():
     assert unchecked_reads(source) == [
         (1, "import struct"), (2, "from struct import unpack"), (5, "f.read(4 * n)"),
         (6, "f.read(size=n)")]
+
+
+_CLI_FORBIDDEN = ("oneshotid.rng", "oneshotid.augment")
+
+
+def forbidden_imports(source, forbidden):
+    """(line, module) of each import in ``source``, a package module, of a
+    module in ``forbidden`` or of a name from one."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["oneshotid" if node.level else "", node.module]))
+            names = [base, *(f"{base}.{alias.name}" for alias in node.names)]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names if name in forbidden]
+    return sorted(found)
+
+
+def test_cli_derives_no_seed_of_its_own():
+    assert forbidden_imports((SRC / "cli.py").read_text(encoding="utf-8"), _CLI_FORBIDDEN) == []
+
+
+def test_scan_finds_a_stray_cli_import():
+    source = ("from .rng import derive_seed\nfrom . import augment, atomic\n"
+              "import oneshotid.rng as r\nfrom oneshotid.augment import apply_params\n"
+              "from .recipes import augmented_copies\nfrom .augmentation import x\n"
+              "from oneshotid import rng\n")
+    assert forbidden_imports(source, _CLI_FORBIDDEN) == [
+        (1, "oneshotid.rng"), (2, "oneshotid.augment"), (3, "oneshotid.rng"),
+        (4, "oneshotid.augment"), (7, "oneshotid.rng")]

@@ -216,7 +216,17 @@ def test_dataset_hash_reads_the_arrays_in_place():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    assert digest == hashlib.sha256(images.tobytes() + class_ids.tobytes()).hexdigest()
+    assert digest == hashlib.sha256(
+        f"{images.dtype.str} {images.shape}\n".encode() + images.tobytes()
+        + f"{class_ids.dtype.str} {class_ids.shape}\n".encode() + class_ids.tobytes()
+    ).hexdigest()
+
+
+def test_dataset_hash_tells_reshapes_apart():
+    images = np.zeros((4, 6, 6))
+    digests = {rc.dataset_hash(Dataset(images.reshape(shape), np.arange(4), source=""))
+               for shape in ((4, 6, 6), (4, 36), (4, 4, 9))}
+    assert len(digests) == 3
 
 
 def test_downscale_applies():
@@ -428,6 +438,29 @@ def test_run_experiment_holdout(tmp_path):
     assert len(held) == 2
     assert (tmp_path / "run" / "epochs.csv").exists()
     assert (tmp_path / "run" / "model.ckpt").exists()
+
+
+def test_recipe_augment_section_without_multiplier_trains_augmented(tmp_path, monkeypatch):
+    text = ("[experiment]\napproach = merged\ndataset = synthetic-anodes\n"
+            "[augment]\nrotation = -15 15\n")
+    recipe = rc.parse_recipe_text(text, name="<recipe>")
+    assert recipe.augment_multiplier == 1
+
+    sampled = []
+    sample_pairs = rc.sample_pairs
+
+    def recording_sample_pairs(dataset, *args, **kwargs):
+        sampled.append(len(dataset))
+        return sample_pairs(dataset, *args, **kwargs)
+
+    monkeypatch.setattr(rc, "sample_pairs", recording_sample_pairs)
+    recipe = dataclasses.replace(recipe, protocol="holdout", held_out_classes=2, n_pairs=8,
+                                 n_val_pairs=6, synthetic_classes=4, synthetic_views=4,
+                                 image_size=24, train=fast_train())
+    rc.run_experiment(recipe, None, tmp_path / "run", "train")
+    # training pairs come from 2 seen classes x 4 views plus one copy of
+    # each; validation pairs from 2 held-out classes x 4 views
+    assert sampled == [16, 8]
 
 
 def test_run_experiment_is_deterministic(tmp_path):

@@ -9,13 +9,21 @@ Runs, in this process and inside the new directory OUT:
   with hold-out and once with 2-fold k-fold;
 - ``eval`` of every checkpoint on one pair manifest over the generated
   tree, with and without ``--identify``;
-- ``augment`` of the generated tree, two copies per image;
+- ``augment`` of the generated tree, two copies per image, and of its
+  first class under ``--seed 6``;
 - ``train`` of the merged approach with hold-out and an ``[augment]``
-  section of the same settings, two augmented copies per training image;
+  section of the same settings, two augmented copies per training image,
+  and again with no ``multiplier`` (one copy per image);
 - ``compare-merging`` of the merged approach on synthetic anodes;
 - ``train`` of the merged approach with hold-out on a stereo fixture of
   5 categories x 2 instances x 3 views at 96 px, written with
-  ``write_matrix`` and read at ``downscale = 4`` (24 px).
+  ``write_matrix`` and read at ``downscale = 4`` (24 px);
+- ``crossval --seed 4`` of the merged hold-out recipe (2-fold k-fold);
+- ``train`` of the siamese CNN with hold-out on the generated tree read
+  as ``att-faces``;
+- ``train`` of the merged approach with hold-out for up to 3 epochs,
+  with ``patience = 1`` and a ``min_delta`` no epoch beats, so early
+  stopping ends it after the second.
 
 With ``float32``, every recipe's ``[train]`` also sets ``precision =
 float32``; without it, training runs in the default float64.
@@ -143,9 +151,15 @@ def main(out, precision=None):
     with open("augment.cfg", "w", encoding="utf-8") as f:
         f.write(AUGMENT + "seed = 5\n")
     run("augment", "--in", "synth", "--recipe", "augment.cfg", "--out", "augmented")
+    run("augment", "--in", "synth/s0", "--recipe", "augment.cfg", "--seed", "6",
+        "--out", "augmented-seed6")
     with open("augmented.cfg", "w", encoding="utf-8") as f:
         f.write(recipe.format(approach="merged", protocol="holdout") + "\n" + AUGMENT)
     run("train", "--recipe", "augmented.cfg", "--out", "augmented-holdout")
+    with open("augmented-once.cfg", "w", encoding="utf-8") as f:
+        f.write(recipe.format(approach="merged", protocol="holdout") + "\n"
+                + AUGMENT.replace("multiplier = 2\n", ""))
+    run("train", "--recipe", "augmented-once.cfg", "--out", "augmented-once-holdout")
     with open("compare.cfg", "w", encoding="utf-8") as f:
         f.write(recipe.format(approach="merged", protocol="kfold"))
     run("compare-merging", "--recipe", "compare.cfg", "--out", "compare")
@@ -154,6 +168,15 @@ def main(out, precision=None):
         f.write(recipe.format(approach="merged", protocol="holdout")
                 .replace("dataset = synthetic-anodes", "dataset = smallnorb\ndownscale = 4"))
     run("train", "--recipe", "stereo.cfg", "--data-dir", "stereo", "--out", "stereo-holdout")
+    run("crossval", "--recipe", "merged-holdout.cfg", "--seed", "4", "--out", "crossval")
+    with open("faces.cfg", "w", encoding="utf-8") as f:
+        f.write(recipe.format(approach="siamese-cnn", protocol="holdout")
+                .replace("dataset = synthetic-anodes", "dataset = att-faces"))
+    run("train", "--recipe", "faces.cfg", "--data-dir", "synth", "--out", "faces-holdout")
+    with open("early-stop.cfg", "w", encoding="utf-8") as f:
+        f.write(recipe.format(approach="merged", protocol="holdout")
+                .replace("epochs = 2", "epochs = 3\npatience = 1\nmin_delta = 1000"))
+    run("train", "--recipe", "early-stop.cfg", "--out", "early-stop-holdout")
     for root, dirs, files in os.walk("."):
         dirs.sort()
         for name in sorted(files):
